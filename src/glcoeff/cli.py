@@ -13,18 +13,18 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
 import mpmath as mp
 
-from .coefficients import (RouteDisagreementError, a_coefficient, a_tilde,
-                           expansion, prolongation_identity_residuals)
+from .coefficients import (RouteDisagreementError, a_coefficient, expansion,
+                           prolongation_identity_residuals)
 from .gmfamily import SmoothGerm, c, draw_generic_direction, tilde_c
 from .numeric import decimal_str, default_prec, parse_exact, working
 from .orbits import (LeviDatum, Partition, enumerate_inducing_pairs, induce,
-                     induced_type_oracle, partitions)
+                     induced_type_oracle, partitions, search_inducing_pairs)
 from .rootdata import (BlockProfile, base_profile, enumerate_parabolics,
                        gram_determinant, group_profile, simple_data)
 from .zeta import (NumberFieldData, PlaceSet, ProviderError, volumes, xi_jet,
@@ -75,6 +75,9 @@ def _load_field(config: RunConfig) -> NumberFieldData | None:
 
 def _resolve_shape(args) -> tuple[int, int]:
     d, r, n = args.d, args.r, args.n
+    for flag, value in (("--d", d), ("--r", r), ("--n", n)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     if d is not None and r is not None:
         if n is not None and n != d * r:
             raise ValueError(f"--n {n} contradicts --d {d} --r {r}")
@@ -165,34 +168,35 @@ def cmd_coeff(args, config: RunConfig) -> int:
     d, r = _resolve_shape(args)
     places = PlaceSet.parse(args.S)
     field = _load_field(config)
-    rows: list = []
-    worst_gap = mp.mpf(0)
-    worst_resid = mp.mpf(0)
     query = {"command": "coeff", "d": d, "r": r, "S": places.label()}
     with working(config.precision_bits):
         try:
-            for pair in enumerate_inducing_pairs(d, r):
-                res = a_tilde(pair.levi, d, places, field, config.seed,
-                              config.tolerance(), config.jet_guard_order)
-                gap = res.diagnostics["max_disagreement"]
-                resid = max(res.diagnostics["residuals"].values())
-                worst_gap = max(worst_gap, gap)
-                worst_resid = max(worst_resid, resid)
-                rows.append({
-                    "levi": list(pair.levi.parts),
-                    "orbits": [list(o.parts) for o in pair.levi.orbits],
-                    "induced_orbit": res.orbit,
-                    "a": res.a_value,
-                    "a_tilde": res.a_tilde_value,
-                    "weyl_weight": res.weyl_weight,
-                    "class_size": pair.class_size,
-                    "max_route_disagreement": gap,
-                    "max_cancellation_residual": resid,
-                })
+            exp = expansion(d, r, places, field, config.seed,
+                            config.tolerance(), config.jet_guard_order)
         except RouteDisagreementError as exc:
-            diagnostics = {"error": str(exc), "passed": False}
-            _emit(_payload(config, query, rows, diagnostics), args.format)
+            _emit(_payload(config, query, [], {"error": str(exc),
+                                               "passed": False}), args.format)
             return 2
+        rows = []
+        worst_gap = mp.mpf(0)
+        worst_resid = mp.mpf(0)
+        for term in exp.terms:
+            res = term.coefficient
+            gap = res.diagnostics["max_disagreement"]
+            resid = max(res.diagnostics["residuals"].values())
+            worst_gap = max(worst_gap, gap)
+            worst_resid = max(worst_resid, resid)
+            rows.append({
+                "levi": list(res.levi.parts),
+                "orbits": [list(o.parts) for o in res.levi.orbits],
+                "induced_orbit": res.orbit,
+                "a": res.a_value,
+                "a_tilde": res.a_tilde_value,
+                "weyl_weight": res.weyl_weight,
+                "class_size": term.class_size,
+                "max_route_disagreement": gap,
+                "max_cancellation_residual": resid,
+            })
         diagnostics = {
             "rows": len(rows),
             "max_route_disagreement": worst_gap,
@@ -247,6 +251,8 @@ def cmd_zeta(args, config: RunConfig) -> int:
     places = PlaceSet.parse(args.S)
     field = _load_field(config)
     d = args.d if args.d is not None else 1
+    if d < 1:
+        raise ValueError(f"--d must be at least 1, got {d}")
     order = config.jet_guard_order
     query = {"command": "zeta", "eval": args.eval, "at": center, "d": d,
              "S": places.label(), "order": order}
@@ -412,8 +418,18 @@ def _suite_induction(args, config: RunConfig, field) -> tuple[list, dict, bool]:
         block_checked += 1
         if induced_type_oracle(levi) != Partition.block_regular(d, r):
             failures.append({"levi": list(levi.parts), "block_regular": [d, r]})
+    # the closed-form inducing pairs against the exhaustive search
+    pair_shapes = pair_classes = 0
+    for d, r in _shapes_up_to(n_max):
+        closed = [replace(p, profile=None) for p in enumerate_inducing_pairs(d, r)]
+        pair_shapes += 1
+        pair_classes += len(closed)
+        if closed != search_inducing_pairs(d, r):
+            failures.append({"inducing_pairs": [d, r]})
     rows = [{"levi_orbit_pairs": checked,
              "block_regular_elements": block_checked,
+             "inducing_pair_shapes": pair_shapes,
+             "inducing_pair_classes": pair_classes,
              "failures": len(failures)}]
     passed = not failures
     diagnostics = {"failures": failures, "passed": passed}
@@ -555,7 +571,8 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return COMMANDS[args.command](args, config)
-    except (ProviderError, ValueError, OSError, ArithmeticError) as exc:
+    except (ProviderError, ValueError, OSError, ArithmeticError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

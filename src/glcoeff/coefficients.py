@@ -27,13 +27,13 @@ from .gmfamily import (GenericDirection, RouteValue, SmoothGerm,
                        arthur_derivative_value, c, draw_generic_direction,
                        symmetrized_value, tilde_c)
 from .jets import Jet, LinearFactor, split_monomial
-from .numeric import to_mpf
-from .orbits import (InducingPair, LeviDatum, Partition,
+from .numeric import default_tol, to_mpf
+from .orbits import (InducingPair, LeviDatum, Partition, block_pair,
                      enumerate_inducing_pairs, induce, partitions)
 from .rootdata import (BlockProfile, base_profile, group_profile,
                        hat_theta_factor, pairing, project, simple_data,
                        theta_factor)
-from .zeta import (EMPTY_PLACES, RATIONAL_FIELD, NumberFieldData, PlaceSet,
+from .zeta import (EMPTY_PLACES, NumberFieldData, PlaceSet, _resolve_field,
                    vol_block_levi, vol_group, vol_minimal_levi,
                    z_s_local_jet, ztilde_jet, ztilde_s_jet)
 
@@ -51,10 +51,6 @@ class RouteDisagreementError(ArithmeticError):
         super().__init__(
             f"route disagreement {mp.nstr(disagreement, 8)} exceeds "
             f"{mp.nstr(tolerance, 8)} ({where})")
-
-
-def _default_tol():
-    return mp.mpf(2) ** (-(mp.mp.prec // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +81,6 @@ def _tower_provider(d: int, field: NumberFieldData):
     return provider
 
 
-def _resolve(field: NumberFieldData | None) -> NumberFieldData:
-    return RATIONAL_FIELD if field is None else field
-
-
 # ---------------------------------------------------------------------------
 # the coefficient germ and its value
 
@@ -102,7 +94,7 @@ def phi_for_L(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
     germ is exactly 1 at the origin.  The minimal level gives the empty
     product.
     """
-    field = _resolve(field)
+    field = _resolve_field(field)
     base = base_profile(level.d, level.r)
     data = simple_data(base, level)
     provider = _tower_ratio_provider(level.d, places, field)
@@ -129,18 +121,6 @@ class CoefficientResult:
     diagnostics: dict
 
 
-def _standard_levi(level: BlockProfile) -> LeviDatum:
-    orbits = tuple(Partition((p,) * level.d) for p in level.parts)
-    return LeviDatum(level.sizes, orbits)
-
-
-def _ambient_weight(level: BlockProfile) -> Fraction:
-    num = 1
-    for size in level.sizes:
-        num *= factorial(size)
-    return Q(num, factorial(level.n))
-
-
 def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
                   field: NumberFieldData | None = None, seed: int = 0,
                   tol=None, order_pad: int = 4) -> CoefficientResult:
@@ -151,9 +131,9 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
     and must agree within tol (default 2^(-prec/2) relative), else
     RouteDisagreementError.
     """
-    field = _resolve(field)
+    field = _resolve_field(field)
     if tol is None:
-        tol = _default_tol()
+        tol = default_tol()
     germ = phi_for_L(level, places, field)
     direction = draw_generic_direction(level.d, level.parts, seed)
     routes = (
@@ -177,38 +157,16 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
         "direction_seed": seed,
         "precision_bits": mp.mp.prec,
     }
-    levi = _standard_levi(level)
+    pair = block_pair(level)
     return CoefficientResult(
-        levi=levi,
-        orbit=induce(levi),
+        levi=pair.levi,
+        orbit=induce(pair.levi),
         a_value=a_value,
         a_tilde_value=vol * a_value,
-        weyl_weight=_ambient_weight(level),
+        weyl_weight=pair.weyl_weight,
         places=places,
         diagnostics=diagnostics,
     )
-
-
-def _block_parts_of(levi: LeviDatum, d: int) -> tuple[int, ...]:
-    """Recover the d-block composition of a (Levi, orbit) pair, or raise.
-
-    Each part must be a multiple of d carrying the orbit induced from
-    zero on its own d-block subgroup (the rectangular type), otherwise
-    the pair does not arise in the expansion of the block-regular orbit.
-    """
-    out = []
-    for part, orbit in levi.couples:
-        if part % d:
-            raise ValueError(
-                f"part {part} is not a multiple of d={d}; the pair does not "
-                "induce the block-regular target")
-        p = part // d
-        if orbit.parts != (p,) * d:
-            raise ValueError(
-                f"orbit {orbit.parts} on part {part} is not the zero-induced "
-                "type; the pair does not induce the block-regular target")
-        out.append(p)
-    return tuple(out)
 
 
 def a_tilde(levi: LeviDatum, d: int, places: PlaceSet = EMPTY_PLACES,
@@ -216,13 +174,20 @@ def a_tilde(levi: LeviDatum, d: int, places: PlaceSet = EMPTY_PLACES,
             tol=None, order_pad: int = 4) -> CoefficientResult:
     """Volume-weighted coefficient for a (Levi, orbit) conjugacy class.
 
-    Conjugates the class to the standard representative (the sorted
-    composition, which LeviDatum already enforces) and reuses
-    a_coefficient there.
+    The class must be one of the inducing pairs of the block-regular
+    orbit with block size d, else ValueError; a_coefficient runs on its
+    block profile.
     """
-    parts = _block_parts_of(levi, d)
-    level = BlockProfile(d, parts)
-    return a_coefficient(level, places, field, seed, tol, order_pad)
+    if d < 1 or levi.n % d:
+        raise ValueError(f"a Levi of GL({levi.n}) does not induce a "
+                         f"block-regular orbit with d={d}")
+    for pair in enumerate_inducing_pairs(d, levi.n // d):
+        if pair.levi == levi:
+            return a_coefficient(pair.profile, places, field, seed, tol,
+                                 order_pad)
+    raise ValueError(f"Levi {levi.parts} with orbits "
+                     f"{[o.parts for o in levi.orbits]} does not induce the "
+                     f"block-regular orbit with d={d}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +199,7 @@ def J_P_unit(P: BlockProfile, direction: GenericDirection, order: int,
     """Laurent jet of the unit-function integral attached to P along the
     certified line: block-Levi volume, inverse pairing product, and one
     complete d-tower factor per within-block coweight."""
-    field = _resolve(field)
+    field = _resolve_field(field)
     if (direction.d, direction.parts) != (P.d, (P.r,)):
         raise ValueError("direction must be certified for the ambient group")
     d = P.d
@@ -273,7 +238,7 @@ def J_tilde_unit(d: int, r: int, direction: GenericDirection, order: int,
                  field: NumberFieldData | None = None) -> Jet:
     """Analytic jet of the regularized ambient integral along the line;
     no negative orders for any direction."""
-    field = _resolve(field)
+    field = _resolve_field(field)
     if (direction.d, direction.parts) != (d, (r,)):
         raise ValueError("direction must be certified for the ambient group")
     return _j_tilde_jet_along(d, r, direction.vector, order, field)
@@ -297,7 +262,7 @@ def prolongation_identity_residuals(P: BlockProfile,
     expansion center, clear of all pole hyperplanes.  Returns one
     relative residual per sample.
     """
-    field = _resolve(field)
+    field = _resolve_field(field)
     d, r = P.d, P.r
     base = base_profile(d, r)
     cw_P = simple_data(base, P).coweights
@@ -337,9 +302,9 @@ def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
     Computed with the germ engine on the product of complete d-tower
     factors, cross-checked against the alternating route.
     """
-    field = _resolve(field)
+    field = _resolve_field(field)
     if tol is None:
-        tol = _default_tol()
+        tol = default_tol()
     level = group_profile(d, r)
     provider = _tower_provider(d, field)
     factors = tuple(LinearFactor(provider, w, Q(1, d))
@@ -375,7 +340,7 @@ def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
     if m == 1:
         return local_value ** (r - 1)
     if tol is None:
-        tol = _default_tol()
+        tol = default_tol()
     fine_coweights = simple_data(base_profile(d, r)).coweights
     rng = random.Random(f"coarse:{seed}:{d}:{comp}:{places.label()}")
 
@@ -426,7 +391,7 @@ def unit_expansion_residual(d: int, r: int, places: PlaceSet,
     splitting) must equal the volume-weighted sum over Levi classes of
     coefficient times local family value.  Returns the relative gap.
     """
-    field = _resolve(field)
+    field = _resolve_field(field)
     lhs = J_o_unit(d, r, field, seed).value
     local_value = z_s_local_jet(d, places, d, 1, field).coeff(0)
     acc = mp.mpf(0)
@@ -474,13 +439,12 @@ def _local_symbol(levi: LeviDatum, places: PlaceSet) -> str:
     return f"J_L^G[L={levi.parts}; o'=({orbit_label}); S={places.label()}]"
 
 
-def _term_for_pair(pair: InducingPair, d: int, places: PlaceSet,
+def _term_for_pair(pair: InducingPair, places: PlaceSet,
                    field: NumberFieldData, seed: int, tol,
                    order_pad: int) -> ExpansionTerm:
-    result = a_tilde(pair.levi, d, places, field, seed, tol, order_pad)
-    assert result.weyl_weight == pair.weyl_weight
     return ExpansionTerm(
-        coefficient=result,
+        coefficient=a_coefficient(pair.profile, places, field, seed, tol,
+                                  order_pad),
         local_symbol=_local_symbol(pair.levi, places),
         class_size=pair.class_size,
         standard_levi_count=pair.standard_levi_count,
@@ -488,9 +452,9 @@ def _term_for_pair(pair: InducingPair, d: int, places: PlaceSet,
 
 
 def _term_worker(args) -> ExpansionTerm:
-    (pair, d, places, field, seed, tol, order_pad, prec) = args
+    (pair, places, field, seed, tol, order_pad, prec) = args
     mp.mp.prec = prec
-    return _term_for_pair(pair, d, places, field, seed, tol, order_pad)
+    return _term_for_pair(pair, places, field, seed, tol, order_pad)
 
 
 def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
@@ -503,22 +467,22 @@ def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
     processes; each term is independent and the assembly order is fixed,
     so the output is identical to the serial run.
     """
-    field = _resolve(field)
+    field = _resolve_field(field)
     pairs = enumerate_inducing_pairs(d, r)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(pair, d, places, field, seed, tol, order_pad, mp.mp.prec)
+        args = [(pair, places, field, seed, tol, order_pad, mp.mp.prec)
                 for pair in pairs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             terms = tuple(pool.map(_term_worker, args))
     else:
-        terms = tuple(_term_for_pair(pair, d, places, field, seed, tol,
+        terms = tuple(_term_for_pair(pair, places, field, seed, tol,
                                      order_pad) for pair in pairs)
     return FormalExpansion(
         d=d,
         r=r,
         orbit=Partition.block_regular(d, r),
         places=places,
-        field_label=_resolve(field).label,
+        field_label=field.label,
         terms=terms,
     )

@@ -31,7 +31,7 @@ import mpmath as mp
 
 from .jets import (CancellationError, Jet, LinearFactor, compose_linear,
                    split_monomial)
-from .numeric import to_mpf
+from .numeric import default_tol, to_mpf
 from .rootdata import (BlockProfile, base_profile, block_permutations,
                        compositions, epsilon, hat_theta_factor, pairing,
                        permute_blocks, project, theta_factor)
@@ -242,10 +242,6 @@ class RouteValue:
     route: str
 
 
-def _default_tol():
-    return mp.mpf(2) ** (-(mp.mp.prec // 2))
-
-
 def _pole_order(level: BlockProfile) -> int:
     return level.r - level.k
 
@@ -253,7 +249,7 @@ def _pole_order(level: BlockProfile) -> int:
 def _read_off(total: Jet, k: int, tol, route: str) -> RouteValue:
     analytic, residual = split_monomial(total, k)
     if tol is None:
-        tol = _default_tol()
+        tol = default_tol()
     if residual > tol:
         raise CancellationError(residual, where=route)
     return RouteValue(analytic.coeff(0), residual, route)
@@ -273,7 +269,9 @@ def _alternating(germ: SmoothGerm, level: BlockProfile,
     for P in levels_between(base, level):
         hat = hat_theta_factor(base, P)
         th = theta_factor(P, level)
-        assert hat.degree + th.degree == k
+        if hat.degree + th.degree != k:
+            raise RuntimeError(f"pairing products of degree {hat.degree} + "
+                               f"{th.degree} at {P.parts}, pole order {k}")
         rat = hat.rational_part(lam0) * th.rational_part(lam0)
         sign = epsilon(base, P) if lower else epsilon(P, level)
         upper, low_part = project(lam0, P)
@@ -310,7 +308,9 @@ def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
         raise ValueError("direction was certified for a different level")
     th0 = theta_factor(base, level)
     k = th0.degree
-    assert k == _pole_order(level)
+    if k != _pole_order(level):
+        raise RuntimeError(f"pairing product of degree {k}, pole order "
+                           f"{_pole_order(level)} at {level.parts}")
     lam0 = direction.vector
     order = k + order_pad
     covol = th0.covolume()

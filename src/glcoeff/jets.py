@@ -68,21 +68,12 @@ class Jet:
         data = tuple(to_mpf(coeffs.get(i, 0)) for i in range(low, high + 1))
         return cls(low, data, EXACT)
 
-    @classmethod
-    def from_taylor(cls, coeffs, low: int = 0) -> "Jet":
-        coeffs = tuple(to_mpf(c) for c in coeffs)
-        return cls(low, coeffs, low + len(coeffs))
-
     # -- basic access ------------------------------------------------------
 
     @property
     def stored_high(self) -> int:
         """One past the highest stored order."""
         return self.low + len(self.coeffs)
-
-    @property
-    def is_analytic(self) -> bool:
-        return self.low >= 0 or all(c == 0 for c in self.coeffs[: -self.low])
 
     def coeff(self, k: int):
         if k >= self.trunc:
@@ -208,22 +199,6 @@ def strip_leading_zeros(jet: Jet) -> Jet:
     if not coeffs:
         low = 0 if jet.trunc == EXACT else min(jet.low, jet.trunc)
     return Jet(low, coeffs, jet.trunc)
-
-
-def add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def scale(a: Jet, c) -> Jet:
-    return a.scale(c)
-
-
-def negate(a: Jet) -> Jet:
-    return -a
 
 
 def split_monomial(jet: Jet, k: int) -> tuple[Jet, mp.mpf]:

@@ -37,6 +37,12 @@ def working(prec: int, guard: int = GUARD_BITS):
         yield
 
 
+def default_tol() -> mp.mpf:
+    """Route and cancellation tolerance when none is given: 2^(-prec/2)
+    relative, at the current working precision."""
+    return mp.mpf(2) ** (-(mp.mp.prec // 2))
+
+
 def to_mpf(x) -> mp.mpf:
     """Convert int/Fraction/float/str to mpf at the current working precision."""
     if isinstance(x, Fraction):
@@ -54,14 +60,6 @@ def decimal_str(x, prec: int) -> str:
     """Decimal string carrying the full precision (round-trips to <= 1 ulp)."""
     digits = libmp.prec_to_dps(prec) + 3
     return mp.nstr(mp.mpf(x), digits)
-
-
-def rel_diff(a, b) -> mp.mpf:
-    """|a-b| / max(1, |a|, |b|); symmetric relative disagreement."""
-    a = mp.mpf(a)
-    b = mp.mpf(b)
-    scale = max(mp.mpf(1), abs(a), abs(b))
-    return abs(a - b) / scale
 
 
 def parse_exact(text: str) -> Fraction:

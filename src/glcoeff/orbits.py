@@ -1,8 +1,9 @@
 """Nilpotent orbit bookkeeping for gl(n).
 
 Jordan types of the block superdiagonal elements, orbit induction from a
-Levi by padded componentwise partition sums, and exhaustive enumeration
-of the (Levi, orbit) pairs that induce a given block-regular orbit.
+Levi by padded componentwise partition sums, and the (Levi, orbit) pairs
+that induce a given block-regular orbit: one per partition of r in
+closed form, with the exhaustive search kept as its oracle.
 Everything here is exact integer or rational arithmetic.  The rank-of-
 powers oracle is deliberately independent of the combinatorial rules so
 the two can certify each other in the test suite.
@@ -44,11 +45,6 @@ class Partition:
     def block_regular(cls, d: int, r: int) -> "Partition":
         """The orbit with d Jordan blocks of size r."""
         return cls((r,) * d)
-
-    def rank_sequence(self) -> list[int]:
-        """Ranks of the powers M^0, M^1, ... of a matrix of this type."""
-        top = self.parts[0] if self.parts else 0
-        return [sum(max(p - j, 0) for p in self.parts) for j in range(top + 1)]
 
 
 def dominates(a: Partition, b: Partition) -> bool:
@@ -321,19 +317,60 @@ class InducingPair:
     weyl_weight is |W_L| / |W| as an exact fraction; standard_levi_count
     is the number of standard Levis in the class, and class_size the
     number of couples in the full conjugation orbit of the pair.
+    profile is the block profile (d, p) whose Levi GL(d*p_1) x ... carries
+    the rectangular orbits (p_j^d); the exhaustive search, which does not
+    assume that shape, leaves it None.
     """
 
     levi: LeviDatum
     weyl_weight: Fraction
     standard_levi_count: int
     class_size: int
+    profile: BlockProfile | None = None
+
+
+def block_pair(profile: BlockProfile) -> InducingPair:
+    """The class of the block Levi of a profile with its rectangular orbits.
+
+    Closed form: the Levi is GL(d*p_1) x ... x GL(d*p_k) with orbit
+    (p_j^d) on factor j, |W_L| = prod (d*p_j)!, its standard Levis are
+    the distinct orderings of p, and a couple is fixed by permuting
+    equal factors.
+    """
+    d, parts = profile.d, profile.parts
+    levi = LeviDatum(profile.sizes, tuple(Partition((p,) * d) for p in parts))
+    w_levi = 1
+    for size in profile.sizes:
+        w_levi *= factorial(size)
+    repeats = 1
+    for p in set(parts):
+        repeats *= factorial(parts.count(p))
+    return InducingPair(levi, Fraction(w_levi, factorial(profile.n)),
+                        factorial(len(parts)) // repeats,
+                        factorial(profile.n) // (w_levi * repeats), profile)
 
 
 def enumerate_inducing_pairs(d: int, r: int) -> list[InducingPair]:
     """All classes of (Levi, orbit) pairs inducing the (r^d) orbit.
 
-    Exhaustive search: every multiset of parts of n = rd, every multiset
-    of orbit partitions on equal parts.  Fine for desk-scale n.
+    A padded sum of partitions is the rectangle (r^d) only if every
+    summand is a rectangle with d rows, so the classes are exactly the
+    block Levis of the partitions p of r.  Ordered by decreasing number
+    of parts, then increasing parts; `search_inducing_pairs` is the
+    exhaustive oracle for this.
+    """
+    if d < 1 or r < 1:
+        raise ValueError(f"block size and block count must be at least 1, "
+                         f"got d={d}, r={r}")
+    ordered = sorted(partitions(r), key=lambda p: (-len(p), p))
+    return [block_pair(BlockProfile(d, p)) for p in ordered]
+
+
+def search_inducing_pairs(d: int, r: int) -> list[InducingPair]:
+    """Exhaustive oracle for `enumerate_inducing_pairs` (without profiles).
+
+    Tries every multiset of parts of n = rd and every multiset of orbit
+    partitions on equal parts.  Fine for desk-scale n.
     """
     n = d * r
     target = Partition.block_regular(d, r)

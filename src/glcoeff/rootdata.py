@@ -12,7 +12,9 @@ assumed: for adjacent blocks i, i+1 of sizes m_i, m_{i+1}, the simple
 root *and* its coroot are both represented by the vector
 indicator(block i)/m_i - indicator(block i+1)/m_{i+1}; the weights and
 coweights are the dual basis inside the sum-zero subspace of each
-enclosing block.
+enclosing block.  Both bases and the coroot Gram determinants are built
+in closed form; `gram_determinant` and `covolume` eliminate from scratch
+and serve as the oracle the closed forms are checked against.
 """
 from __future__ import annotations
 
@@ -31,56 +33,13 @@ Vector = tuple[Fraction, ...]
 # ---------------------------------------------------------------------------
 # vectors
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = Q(c)
-    return tuple(c * a for a in v)
 
 
 def pairing(u: Vector, v: Vector) -> Fraction:
     """Euclidean pairing <u, v>; exact."""
     return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
-
-
-def zero_vector(n: int) -> Vector:
-    return (Q(0),) * n
-
-
-@dataclass(frozen=True)
-class AmbientSpace:
-    """R^n with the standard inner product."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-
-    def check(self, v: Vector) -> Vector:
-        if len(v) != self.n:
-            raise ValueError(f"vector has {len(v)} coordinates, expected {self.n}")
-        return v
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A linear form on the torus space, identified with a rational vector."""
-
-    coords: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Q(c) for c in self.coords))
-
-    def pair(self, v) -> Fraction:
-        other = v.coords if isinstance(v, LinearForm) else v
-        return pairing(self.coords, other)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +132,10 @@ def _block_ranges(sizes: tuple[int, ...]) -> list[range]:
     return out
 
 
-def _indicator_over_size(n: int, block: range) -> Vector:
-    w = Q(1, len(block))
-    return tuple(w if i in block else Q(0) for i in range(n))
+def _step(n: int, lo: int, mid: int, hi: int, a: Fraction, b: Fraction) -> Vector:
+    """The vector equal to a on coordinates [lo, mid), b on [mid, hi), 0 elsewhere."""
+    zero = Q(0)
+    return (zero,) * lo + (a,) * (mid - lo) + (b,) * (hi - mid) + (zero,) * (n - hi)
 
 
 # ---------------------------------------------------------------------------
@@ -187,50 +147,47 @@ class SimpleData:
     coroots: tuple[Vector, ...]
     weights: tuple[Vector, ...]
     coweights: tuple[Vector, ...]
+    coroot_gram_det: Fraction
 
 
 def _simple_data_sizes(fine: tuple[int, ...], coarse: tuple[int, ...]) -> SimpleData:
+    """Closed forms, one coarse block at a time.
+
+    In a coarse block of size M cut into fine blocks of sizes m_1..m_k,
+    with partial sums S_i = m_1 + ... + m_i, the coweight dual to the
+    i-th coroot is (M - S_i)/M on the first i fine blocks and -S_i/M on
+    the rest: it sums to zero over the block and drops by exactly 1
+    across boundary i only.  The coroot Gram determinant of the block is
+    M / (m_1 ... m_k).
+    """
     n = sum(fine)
-    if sum(coarse) != n or not set(_boundaries(coarse)) <= set(_boundaries(fine)):
+    fine_ends = _boundaries(fine)
+    coarse_ends = _boundaries(coarse)
+    if sum(coarse) != n or not set(coarse_ends) <= set(fine_ends):
         raise ValueError("first profile must refine the second")
-    ranges = _block_ranges(fine)
-    coarse_bounds = set(_boundaries(coarse))
-    fine_bounds = _boundaries(fine)
-
     coroots: list[Vector] = []
-    groups: list[list[int]] = []  # indices of coroots sharing a coarse block
-    current: list[int] = []
-    for i in range(len(fine) - 1):
-        if fine_bounds[i] in coarse_bounds:
-            if current:
-                groups.append(current)
-            current = []
-            continue
-        alpha = vec_sub(_indicator_over_size(n, ranges[i]),
-                        _indicator_over_size(n, ranges[i + 1]))
-        current.append(len(coroots))
-        coroots.append(alpha)
-    if current:
-        groups.append(current)
-
-    # dual basis, solved per coarse block in exact arithmetic
-    coweights: list[Vector | None] = [None] * len(coroots)
-    for group in groups:
-        basis = [coroots[i] for i in group]
-        gram = [[pairing(a, b) for b in basis] for a in basis]
-        for j in range(len(group)):
-            rhs = [Q(1) if m == j else Q(0) for m in range(len(group))]
-            x = _solve_exact(gram, rhs)
-            w = zero_vector(n)
-            for c, b in zip(x, basis):
-                w = vec_add(w, vec_scale(c, b))
-            coweights[group[j]] = w
+    coweights: list[Vector] = []
+    det = Q(1)
+    start = 0
+    for end in coarse_ends:
+        size = end - start
+        edges = [start] + [b for b in fine_ends if start < b < end] + [end]
+        for lo, mid, hi in zip(edges, edges[1:], edges[2:]):
+            coroots.append(_step(n, lo, mid, hi, Q(1, mid - lo), Q(-1, hi - mid)))
+            done = mid - start
+            coweights.append(_step(n, start, mid, end,
+                                   Q(size - done, size), Q(-done, size)))
+        det *= size
+        for lo, hi in zip(edges, edges[1:]):
+            det /= hi - lo
+        start = end
 
     co = tuple(coroots)
-    cw = tuple(coweights)  # type: ignore[arg-type]
+    cw = tuple(coweights)
     # roots and coroots coincide as vectors in this self-dual model,
     # hence so do weights and coweights
-    return SimpleData(roots=co, coroots=co, weights=cw, coweights=cw)
+    return SimpleData(roots=co, coroots=co, weights=cw, coweights=cw,
+                      coroot_gram_det=det)
 
 
 def simple_data(fine: BlockProfile, coarse: BlockProfile | None = None) -> SimpleData:
@@ -240,24 +197,6 @@ def simple_data(fine: BlockProfile, coarse: BlockProfile | None = None) -> Simpl
     if fine.n != coarse.n:
         raise ValueError("profiles live in different spaces")
     return _simple_data_sizes(fine.sizes, coarse.sizes)
-
-
-def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; raises on singular input."""
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    size = len(m)
-    for col in range(size):
-        piv = next((i for i in range(col, size) if m[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Q(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(size):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [m[i][size] for i in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +240,6 @@ class ThetaFactor:
     forms: tuple[Vector, ...]
     gram_det: Fraction
 
-    @classmethod
-    def from_forms(cls, forms) -> "ThetaFactor":
-        forms = tuple(forms)
-        return cls(forms=forms, gram_det=gram_determinant(forms))
-
     @property
     def degree(self) -> int:
         return len(self.forms)
@@ -326,21 +260,14 @@ class ThetaFactor:
 def theta_factor(P: BlockProfile, Q_prof: BlockProfile | None = None) -> ThetaFactor:
     """theta_P^Q: covolume-normalized product over the coroots of (P, Q)."""
     data = simple_data(P, Q_prof)
-    return ThetaFactor.from_forms(data.coroots)
+    return ThetaFactor(data.coroots, data.coroot_gram_det)
 
 
 def hat_theta_factor(fine: BlockProfile, coarse: BlockProfile) -> ThetaFactor:
-    """hat theta for the pair (fine, coarse): product over the coweights."""
+    """hat theta for the pair (fine, coarse): product over the coweights,
+    whose Gram matrix is the inverse of the coroot Gram matrix."""
     data = simple_data(fine, coarse)
-    return ThetaFactor.from_forms(data.coweights)
-
-
-def theta(P: BlockProfile, lam: Vector, Q_prof: BlockProfile | None = None) -> mp.mpf:
-    return theta_factor(P, Q_prof).evaluate(lam)
-
-
-def hat_theta(fine: BlockProfile, coarse: BlockProfile, lam: Vector) -> mp.mpf:
-    return hat_theta_factor(fine, coarse).evaluate(lam)
+    return ThetaFactor(data.coweights, 1 / data.coroot_gram_det)
 
 
 def epsilon(P: BlockProfile, Q_prof: BlockProfile | None = None) -> int:

@@ -79,6 +79,10 @@ def test_shape_resolution():
         _resolve_shape(ns(d=2, r=3, n=5))
     with pytest.raises(ValueError):
         _resolve_shape(ns())
+    for bad in (ns(d=0, r=3), ns(d=-1, r=2), ns(d=2, r=0), ns(n=0),
+                ns(n=6, d=0), ns(n=6, r=-3)):
+        with pytest.raises(ValueError):
+            _resolve_shape(bad)
 
 
 def test_zeta_xi_at_two(capsys):
@@ -189,6 +193,35 @@ def test_contradictory_shape_exits_nonzero(capsys):
     code, _, err = run_cli(capsys, "coeff", "--n", "5", "--d", "2")
     assert code == 2
     assert "multiple" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--d", "-1", "--r", "2"),
+    ("expansion", "--d", "-1", "--r", "2"),
+    ("orbits", "--d", "0", "--r", "3"),
+    ("volumes", "--d", "1", "--r", "0"),
+    ("coeff", "--n", "6", "--d", "0"),
+    ("zeta", "--eval", "ztilde", "--at", "1", "--d", "-2"),
+    ("zeta", "--eval", "ztilde-s", "--at", "1", "--d", "0"),
+])
+def test_nonpositive_shape_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at least 1" in err
+
+
+def test_runtime_failure_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise RuntimeError("could not draw a generic direction (seed exhausted)")
+
+    monkeypatch.setattr("glcoeff.coefficients.draw_generic_direction",
+                        exhausted)
+    code, out, err = run_cli(capsys, "coeff", "--d", "1", "--r", "2",
+                             "--prec", "64")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed exhausted" in err
 
 
 def test_parallel_expansion_matches_serial(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from glcoeff.orbits import (BlockNilpotentMatrix, LeviDatum, Partition,
                             dominates, enumerate_inducing_pairs,
                             generic_induced_element, induce,
                             induced_type_oracle, jordan_matrix, jordan_type,
-                            partitions, rank_powers_oracle, x_matrix)
+                            partitions, rank_powers_oracle,
+                            search_inducing_pairs, x_matrix)
 from glcoeff.rootdata import BlockProfile
 
 
@@ -137,3 +139,26 @@ def test_inducing_pairs_all_induce_to_target():
         tops = [p for p in pairs if len(p.levi.couples) == 1]
         assert len(tops) == 1
         assert tops[0].levi.couples[0][1] == target
+
+
+def test_closed_form_pairs_match_exhaustive_search():
+    # same classes, order, Weyl weights and counts for every d*r <= 12
+    shapes = 0
+    for n in range(1, 13):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            pairs = enumerate_inducing_pairs(d, n // d)
+            assert [replace(p, profile=None) for p in pairs] == \
+                search_inducing_pairs(d, n // d)
+            for pair in pairs:
+                assert pair.profile.d == d
+                assert pair.levi.parts == pair.profile.sizes
+                assert pair.levi.orbits == tuple(
+                    Partition((p,) * d) for p in pair.profile.parts)
+            shapes += 1
+    assert shapes == 35
+
+
+@pytest.mark.parametrize("d,r", [(0, 3), (-1, 2), (2, 0), (1, -4)])
+def test_enumeration_rejects_nonpositive_shape(d, r):
+    with pytest.raises(ValueError):
+        enumerate_inducing_pairs(d, r)

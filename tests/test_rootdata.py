@@ -7,11 +7,24 @@ import pytest
 from glcoeff.numeric import working
 from glcoeff.rootdata import (BlockProfile, base_profile, block_permutations,
                               compositions, covolume, enumerate_parabolics,
-                              epsilon, group_profile, hat_theta_factor,
-                              pairing, permute_blocks, project, simple_data,
-                              theta_factor)
+                              epsilon, gram_determinant, group_profile,
+                              hat_theta_factor, pairing, permute_blocks,
+                              project, simple_data, theta_factor)
 
 Q = Fraction
+
+
+def refinement_pairs(n_max: int):
+    """Every composition of every n <= n_max as the fine profile, under
+    every coarsening of it (consecutive fine blocks merged)."""
+    for n in range(1, n_max + 1):
+        for fine in compositions(n):
+            for grouping in compositions(len(fine)):
+                coarse, used = [], 0
+                for g in grouping:
+                    coarse.append(sum(fine[used:used + g]))
+                    used += g
+                yield BlockProfile(1, fine), BlockProfile(1, tuple(coarse))
 
 
 def test_compositions_order():
@@ -38,14 +51,28 @@ def test_gl2_coroot_and_coweight():
 
 
 def test_dual_bases_all_parabolics():
-    for d, r in [(1, 4), (2, 3)]:
-        base = base_profile(d, r)
-        for P in enumerate_parabolics(d, r):
-            sd = simple_data(base, P)
-            for i, w in enumerate(sd.coweights):
-                for j, a in enumerate(sd.coroots):
-                    expected = Q(1) if i == j else Q(0)
-                    assert pairing(w, a) == expected
+    # the closed-form coweights are the exact dual basis of the coroots,
+    # for block sizes of every shape, not only multiples of one d
+    for fine, coarse in refinement_pairs(9):
+        sd = simple_data(fine, coarse)
+        assert len(sd.coweights) == len(sd.coroots) == fine.k - coarse.k
+        for i, w in enumerate(sd.coweights):
+            for j, a in enumerate(sd.coroots):
+                expected = Q(1) if i == j else Q(0)
+                assert pairing(w, a) == expected
+
+
+def test_closed_form_gram_determinant_matches_elimination():
+    checked = 0
+    for fine, coarse in refinement_pairs(9):
+        sd = simple_data(fine, coarse)
+        assert sd.coroot_gram_det == gram_determinant(sd.coroots)
+        assert 1 / sd.coroot_gram_det == gram_determinant(sd.coweights)
+        assert theta_factor(fine, coarse).gram_det == sd.coroot_gram_det
+        assert hat_theta_factor(fine, coarse).gram_det == \
+            gram_determinant(sd.coweights)
+        checked += 1
+    assert checked == (3 ** 9 - 1) // 2
 
 
 def test_covolume_of_full_coroot_lattice():
