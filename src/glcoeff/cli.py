@@ -22,7 +22,7 @@ import mpmath as mp
 from .coefficients import (RouteDisagreementError, a_coefficient, expansion,
                            prolongation_identity_residuals)
 from .gmfamily import SmoothGerm, c, draw_generic_direction, tilde_c
-from .numeric import decimal_str, default_prec, parse_exact, working
+from .numeric import MIN_PREC, decimal_str, default_prec, parse_exact, working
 from .orbits import (LeviDatum, Partition, enumerate_inducing_pairs, induce,
                      induced_type_oracle, partitions, search_inducing_pairs)
 from .rootdata import (BlockProfile, base_profile, enumerate_parabolics,
@@ -58,6 +58,8 @@ class RunConfig:
 
 def _config_from_args(args) -> RunConfig:
     prec = args.prec if args.prec is not None else default_prec()
+    if prec < MIN_PREC:
+        raise ValueError(f"--prec must be at least {MIN_PREC} bits, got {prec}")
     return RunConfig(
         precision_bits=prec,
         jet_guard_order=args.order,
@@ -208,6 +210,8 @@ def cmd_coeff(args, config: RunConfig) -> int:
 
 def cmd_expansion(args, config: RunConfig) -> int:
     d, r = _resolve_shape(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     places = PlaceSet.parse(args.S)
     field = _load_field(config)
     query = {"command": "expansion", "d": d, "r": r, "S": places.label(),

@@ -33,8 +33,8 @@ from .orbits import (InducingPair, LeviDatum, Partition, block_pair,
 from .rootdata import (BlockProfile, base_profile, group_profile,
                        hat_theta_factor, pairing, project, simple_data,
                        theta_factor)
-from .zeta import (EMPTY_PLACES, NumberFieldData, PlaceSet, _resolve_field,
-                   vol_block_levi, vol_group, vol_minimal_levi,
+from .zeta import (CACHE_SIZE, EMPTY_PLACES, NumberFieldData, PlaceSet,
+                   _resolve_field, vol_block_levi, vol_group, vol_minimal_levi,
                    z_s_local_jet, ztilde_jet, ztilde_s_jet)
 
 Q = Fraction
@@ -57,7 +57,7 @@ class RouteDisagreementError(ArithmeticError):
 # scalar jet providers (cached per precision)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _tower_ratio_cached(d: int, places: PlaceSet, field: NumberFieldData,
                         order: int, prec: int) -> Jet:
     jet = ztilde_s_jet(d, places, d, order, field)
@@ -70,7 +70,7 @@ def _tower_ratio_provider(d: int, places: PlaceSet, field: NumberFieldData):
     return provider
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _tower_cached(d: int, field: NumberFieldData, order: int, prec: int) -> Jet:
     return ztilde_jet(d, d, order, field)
 
@@ -244,7 +244,7 @@ def J_tilde_unit(d: int, r: int, direction: GenericDirection, order: int,
     return _j_tilde_jet_along(d, r, direction.vector, order, field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _tower_value_cached(d: int, shift: Fraction, field: NumberFieldData,
                         prec: int) -> mp.mpf:
     return ztilde_jet(d, d + shift, 1, field).coeff(0)

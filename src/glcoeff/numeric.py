@@ -17,6 +17,7 @@ from mpmath import libmp
 
 DEFAULT_PREC = 256
 GUARD_BITS = 64
+MIN_PREC = 16
 
 
 def default_prec() -> int:
@@ -25,8 +26,8 @@ def default_prec() -> int:
     if raw is None:
         return DEFAULT_PREC
     prec = int(raw)
-    if prec < 16:
-        raise ValueError("ARTHUR_COEFF_PREC must be at least 16 bits")
+    if prec < MIN_PREC:
+        raise ValueError(f"ARTHUR_COEFF_PREC must be at least {MIN_PREC} bits")
     return prec
 
 

@@ -28,6 +28,10 @@ from .numeric import sqrt_fraction, to_mpf
 from .rootdata import BlockProfile, base_profile, group_profile
 
 TAIL_MARGIN_BITS = 8
+# Entries kept by each memo of the package, least recently used evicted
+# first.  The commands of one perfbench round fill at most 19 entries of
+# a memo and `verify prolongement4 --n 4` fills 68.
+CACHE_SIZE = 256
 
 
 class ProviderError(ValueError):
@@ -219,6 +223,13 @@ def _exp_linear_jet(rate, order: int) -> Jet:
     return Jet(0, tuple(out), order)
 
 
+def _times_linear(jet: Jet, a, trunc: int) -> Jet:
+    """jet * (a + t) cut to orders below `trunc`.  No kept order reads a
+    cut one, so a product of such factors matches the exact polynomial
+    product bit for bit on the orders it keeps."""
+    return (jet * Jet.polynomial({0: a, 1: 1})).truncate(trunc)
+
+
 def _log_shift_jet(a, order: int) -> Jet:
     """Jet of log(a + t) for a > 0."""
     am = to_mpf(a)
@@ -247,7 +258,7 @@ def zeta_jet(center, order: int) -> Jet:
     return _zeta_jet_cached(Fraction(center), int(order), mp.mp.prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _zeta_jet_cached(center: Fraction, order: int, prec: int) -> Jet:
     with mp.workprec(prec):
         threshold = _tail_threshold()
@@ -289,21 +300,19 @@ def _euler_maclaurin_zeta(c: Fraction, order: int, n_cut: int, m_terms: int):
     half_piece = exp_n.scale(n_pow_c / 2)
 
     tail_poly = Jet.polynomial({})
-    rising = Jet.polynomial({0: 1})  # (s)_(2j-1) as a polynomial in t
+    rising = Jet.polynomial({0: 1})  # jet of (s)_(2j-1) in t
     for j in range(1, m_terms + 1):
         if j == 1:
-            rising = rising * Jet.polynomial({0: c, 1: 1})
+            rising = _times_linear(rising, c, internal)
         else:
-            rising = (rising
-                      * Jet.polynomial({0: c + 2 * j - 3, 1: 1})
-                      * Jet.polynomial({0: c + 2 * j - 2, 1: 1}))
+            rising = _times_linear(_times_linear(rising, c + 2 * j - 3, internal),
+                                   c + 2 * j - 2, internal)
         scale = mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.power(n_cut, 1 - 2 * j)
-        tail_poly = tail_poly + rising.truncate(internal).scale(scale)
-    tail = tail_poly.truncate(internal) * exp_n.scale(n_pow_c)
+        tail_poly = tail_poly + rising.scale(scale)
+    tail = tail_poly * exp_n.scale(n_pow_c)
 
-    next_rising = (rising
-                   * Jet.polynomial({0: c + 2 * m_terms - 1, 1: 1})
-                   * Jet.polynomial({0: c + 2 * m_terms, 1: 1})).truncate(internal)
+    next_rising = _times_linear(_times_linear(rising, c + 2 * m_terms - 1, internal),
+                                c + 2 * m_terms, internal)
     omit_scale = (abs(mp.bernoulli(2 * m_terms + 2)) / mp.factorial(2 * m_terms + 2)
                   * mp.power(n_cut, -1 - 2 * m_terms) * n_pow_c)
     omitted = (next_rising.scale_norm() * omit_scale
@@ -325,7 +334,7 @@ def gamma_jet(center, order: int) -> Jet:
     return _gamma_jet_cached(Fraction(center), int(order), mp.mp.prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _gamma_jet_cached(center: Fraction, order: int, prec: int) -> Jet:
     with mp.workprec(prec):
         threshold = _tail_threshold()
@@ -347,7 +356,7 @@ def _gamma_jet_cached(center: Fraction, order: int, prec: int) -> Jet:
         denom = Jet.polynomial({0: 1})
         for i in range(shift):
             if center + i != 0:
-                denom = denom * Jet.polynomial({0: center + i, 1: 1})
+                denom = _times_linear(denom, center + i, internal)
         out = g * denom.reciprocal(internal)
         if pole:
             # the skipped zero factor turned Gamma(center + t) into its
@@ -368,18 +377,28 @@ def _stirling_loggamma(w0: Fraction, order: int):
     lg = Jet.polynomial({0: w0 - Fraction(1, 2), 1: 1}) * ln_jet
     lg = lg - Jet.polynomial({0: w0, 1: 1}).truncate(order)
     lg = lg + Jet.polynomial({0: 1}).scale(mp.log(2 * mp.pi) / 2).truncate(order)
-    u = Jet.polynomial({0: w0, 1: 1}).reciprocal(order)
-    u2 = (u * u).truncate(order)
-    upow = u
-    acc = upow.scale(mp.bernoulli(2) / 2)
-    for j in range(2, j_terms + 1):
-        upow = (upow * u2).truncate(order)
-        acc = acc + upow.scale(mp.bernoulli(2 * j) / (2 * j * (2 * j - 1)))
-    lg = lg + acc
-    omitted_pow = (upow * u2).truncate(order)
-    omitted = omitted_pow.scale_norm() * abs(
-        mp.bernoulli(2 * j_terms + 2) / ((2 * j_terms + 2) * (2 * j_terms + 1)))
+    w = to_mpf(w0)
+    acc = [mp.mpf(0)] * order
+    for j in range(1, j_terms + 1):
+        for k, c in enumerate(_stirling_term(w, j, order)):
+            acc[k] += c
+    lg = lg + Jet(0, tuple(acc), order)
+    omitted = max(abs(c) for c in _stirling_term(w, j_terms + 1, order))
     return lg, omitted
+
+
+def _stirling_term(w: mp.mpf, j: int, order: int) -> list:
+    """Taylor coefficients of B_2j/(2j(2j-1)) * (w+t)^(1-2j) at t = 0.
+
+    With m = 2j-1 the binomial series gives c_k = c_(k-1) * -(m+k-1)/(k*w).
+    """
+    m = 2 * j - 1
+    c = mp.bernoulli(2 * j) / (2 * j * m) * mp.power(w, -m)
+    out = [c]
+    for k in range(1, order):
+        c = c * -(m + k - 1) / (k * w)
+        out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +420,7 @@ def xi_jet(center, order: int, field: NumberFieldData | None = None) -> Jet:
     return _xi_jet_file(field, Fraction(center), int(order), mp.mp.prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _xi_jet_q(c: Fraction, order: int, prec: int) -> Jet:
     with mp.workprec(prec):
         half = Fraction(1, 2) * c
@@ -415,7 +434,7 @@ def _xi_jet_q(c: Fraction, order: int, prec: int) -> Jet:
         return (pi_part * zeta_part * gamma_part).truncate(order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _xi_jet_file(field: NumberFieldData, c: Fraction, order: int, prec: int) -> Jet:
     with mp.workprec(prec):
         _check_dirichlet_budget(field, c, order)

@@ -211,6 +211,24 @@ def test_nonpositive_shape_exits_2(capsys, argv):
     assert err.startswith("error:") and "at least 1" in err
 
 
+@pytest.mark.parametrize("prec", ["0", "-70", "15"])
+def test_precision_below_floor_exits_2(capsys, prec):
+    code, out, err = run_cli(capsys, "coeff", "--d", "1", "--r", "2",
+                             "--prec", prec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at least 16 bits" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_nonpositive_jobs_exits_2(capsys, jobs):
+    code, out, err = run_cli(capsys, "expansion", "--d", "1", "--r", "2",
+                             "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--jobs must be at least 1" in err
+
+
 def test_runtime_failure_exits_2(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise RuntimeError("could not draw a generic direction (seed exhausted)")

@@ -1,9 +1,12 @@
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import glcoeff
 from glcoeff import zeta as Z
 from glcoeff.jets import Jet
 from glcoeff.numeric import working
@@ -54,6 +57,79 @@ def test_gamma_jet_against_mpmath():
             for k in range(4):
                 ref = mp.diff(mp.gamma, c, k) / mp.factorial(k)
                 assert abs(g.coeff(k) - ref) < mp.mpf(2) ** -80
+
+
+HIGH_ORDER = 12
+
+
+def _mpf(q) -> mp.mpf:
+    q = Fraction(q)
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _max_rel_error(jet, ref, orders):
+    return max(abs(jet.coeff(k) - ref[k]) / max(1, abs(ref[k])) for k in orders)
+
+
+def _gamma_taylor(z, order):
+    """Taylor coefficients of Gamma(z + t): exp of the log-Gamma series
+    loggamma(z) + sum_k psi(k-1, z) t^k / k!."""
+    lg = [mp.loggamma(z)] + [mp.psi(k - 1, z) / mp.factorial(k)
+                             for k in range(1, order)]
+    out = [mp.exp(lg[0])]
+    for k in range(1, order):
+        out.append(sum(i * lg[i] * out[k - i] for i in range(1, k + 1)) / k)
+    return out
+
+
+@pytest.mark.parametrize("prec", [512, 1024])
+def test_zeta_jet_high_order_against_mpmath(prec):
+    with working(prec):
+        tol = mp.mpf(2) ** -prec
+        for center in (2, Fraction(5, 2), Fraction(3, 10)):
+            jet = Z.zeta_jet(center, HIGH_ORDER)
+            ref = [mp.zeta(_mpf(center), 1, k) / mp.factorial(k)
+                   for k in range(HIGH_ORDER)]
+            assert _max_rel_error(jet, ref, range(HIGH_ORDER)) < tol
+        # around the pole: 1/t + sum_k (-1)^k gamma_k t^k / k!; a Stieltjes
+        # constant costs 1-5 s at these precisions, so only some are drawn
+        pole = Z.zeta_jet(1, HIGH_ORDER + 1)
+        assert pole.low == -1 and pole.coeff(-1) == 1
+        orders = (0, 1, 2, 5, 8, 11) if prec == 512 else (0, 11)
+        ref = {k: (-1) ** k * mp.stieltjes(k) / mp.factorial(k) for k in orders}
+        assert _max_rel_error(pole, ref, orders) < tol
+
+
+@pytest.mark.parametrize("prec", [512, 1024])
+def test_gamma_jet_high_order_against_mpmath(prec):
+    with working(prec):
+        tol = mp.mpf(2) ** -prec
+        for center in (Fraction(1, 2), Fraction(7, 3), 3):
+            jet = Z.gamma_jet(center, HIGH_ORDER)
+            ref = _gamma_taylor(_mpf(center), HIGH_ORDER)
+            assert _max_rel_error(jet, ref, range(HIGH_ORDER)) < tol
+        # Gamma(t-2) = Gamma(1+t) / (t (t-1) (t-2)): residue 1/2 at -2
+        jet = Z.gamma_jet(-2, HIGH_ORDER)
+        assert (jet.low, jet.trunc) == (-1, HIGH_ORDER)
+        assert abs(jet.coeff(-1) - mp.mpf(1) / 2) < tol
+        a = _gamma_taylor(mp.mpf(1), HIGH_ORDER + 1)
+        q = []  # Gamma(1+t) / ((t-1)(t-2)) = Gamma(1+t) / (2 - 3t + t^2)
+        for k in range(HIGH_ORDER + 1):
+            q.append((a[k] + (3 * q[k - 1] if k >= 1 else 0)
+                      - (q[k - 2] if k >= 2 else 0)) / 2)
+        ref = {k - 1: q[k] for k in range(HIGH_ORDER + 1)}
+        assert _max_rel_error(jet, ref, range(-1, HIGH_ORDER)) < tol
+
+
+def test_every_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(glcoeff.__path__):
+        module = importlib.import_module(f"glcoeff.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters"):
+                caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert len(caches) >= 7
+    assert all(size is not None for size in caches.values()), caches
 
 
 def test_gamma_poles():
