@@ -13,7 +13,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import product
 
@@ -22,11 +22,13 @@ import mpmath as mp
 from .coefficients import (RouteDisagreementError, a_coefficient, expansion,
                            prolongation_identity_residuals)
 from .gmfamily import SmoothGerm, c, draw_generic_direction, tilde_c
-from .numeric import MIN_PREC, decimal_str, default_prec, parse_exact, working
+from .numeric import (MIN_PREC, decimal_str, default_prec, parse_exact,
+                      tolerance, tolerance_exponent, working)
 from .orbits import (LeviDatum, Partition, enumerate_inducing_pairs, induce,
                      induced_type_oracle, partitions, search_inducing_pairs)
-from .rootdata import (BlockProfile, base_profile, enumerate_parabolics,
-                       gram_determinant, group_profile, simple_data)
+from .rootdata import (BlockProfile, base_profile, covolume,
+                       enumerate_parabolics, gram_determinant, group_profile,
+                       simple_data)
 from .zeta import (NumberFieldData, PlaceSet, ProviderError, volumes, xi_jet,
                    z_s_local_jet, ztilde_jet, ztilde_s_jet)
 
@@ -41,31 +43,23 @@ class RunConfig:
     jet_guard_order: int = 4
     seed: int = 0
     field: str = "Q"
-    tolerance_exponent: int = 128
 
     def as_dict(self) -> dict:
-        return {
-            "precision_bits": self.precision_bits,
-            "jet_guard_order": self.jet_guard_order,
-            "seed": self.seed,
-            "field": self.field,
-            "tolerance_exponent": self.tolerance_exponent,
-        }
-
-    def tolerance(self):
-        return mp.mpf(2) ** (-self.tolerance_exponent)
+        return {**asdict(self),
+                "tolerance_exponent": tolerance_exponent(self.precision_bits)}
 
 
 def _config_from_args(args) -> RunConfig:
     prec = args.prec if args.prec is not None else default_prec()
     if prec < MIN_PREC:
         raise ValueError(f"--prec must be at least {MIN_PREC} bits, got {prec}")
+    if args.order < 1:
+        raise ValueError(f"--order must be at least 1, got {args.order}")
     return RunConfig(
         precision_bits=prec,
         jet_guard_order=args.order,
         seed=args.seed,
         field=args.field,
-        tolerance_exponent=prec // 2,
     )
 
 
@@ -101,7 +95,7 @@ def _resolve_shape(args) -> tuple[int, int]:
 # serialization
 
 
-def _fmt(x, prec: int):
+def _fmt(x):
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str):
         return x
     if isinstance(x, Fraction):
@@ -109,24 +103,23 @@ def _fmt(x, prec: int):
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, mp.mpf):
-        return decimal_str(x, prec)
+        return decimal_str(x)
     if isinstance(x, Partition):
         return list(x.parts)
     if isinstance(x, (tuple, list)):
-        return [_fmt(v, prec) for v in x]
+        return [_fmt(v) for v in x]
     if isinstance(x, dict):
-        return {str(k): _fmt(v, prec) for k, v in x.items()}
+        return {str(k): _fmt(v) for k, v in x.items()}
     return str(x)
 
 
 def _payload(config: RunConfig, query: dict, results: list,
              diagnostics: dict) -> dict:
-    prec = config.precision_bits
     return {
         "config": config.as_dict(),
-        "query": _fmt(query, prec),
-        "results": _fmt(results, prec),
-        "diagnostics": _fmt(diagnostics, prec),
+        "query": _fmt(query),
+        "results": _fmt(results),
+        "diagnostics": _fmt(diagnostics),
     }
 
 
@@ -171,40 +164,39 @@ def cmd_coeff(args, config: RunConfig) -> int:
     places = PlaceSet.parse(args.S)
     field = _load_field(config)
     query = {"command": "coeff", "d": d, "r": r, "S": places.label()}
-    with working(config.precision_bits):
-        try:
-            exp = expansion(d, r, places, field, config.seed,
-                            config.tolerance(), config.jet_guard_order)
-        except RouteDisagreementError as exc:
-            _emit(_payload(config, query, [], {"error": str(exc),
-                                               "passed": False}), args.format)
-            return 2
-        rows = []
-        worst_gap = mp.mpf(0)
-        worst_resid = mp.mpf(0)
-        for term in exp.terms:
-            res = term.coefficient
-            gap = res.diagnostics["max_disagreement"]
-            resid = max(res.diagnostics["residuals"].values())
-            worst_gap = max(worst_gap, gap)
-            worst_resid = max(worst_resid, resid)
-            rows.append({
-                "levi": list(res.levi.parts),
-                "orbits": [list(o.parts) for o in res.levi.orbits],
-                "induced_orbit": res.orbit,
-                "a": res.a_value,
-                "a_tilde": res.a_tilde_value,
-                "weyl_weight": res.weyl_weight,
-                "class_size": term.class_size,
-                "max_route_disagreement": gap,
-                "max_cancellation_residual": resid,
-            })
-        diagnostics = {
-            "rows": len(rows),
-            "max_route_disagreement": worst_gap,
-            "max_cancellation_residual": worst_resid,
-        }
-        _emit(_payload(config, query, rows, diagnostics), args.format)
+    try:
+        exp = expansion(d, r, places, field, config.seed,
+                        config.jet_guard_order)
+    except RouteDisagreementError as exc:
+        _emit(_payload(config, query, [], {"error": str(exc),
+                                           "passed": False}), args.format)
+        return 2
+    rows = []
+    worst_gap = mp.mpf(0)
+    worst_resid = mp.mpf(0)
+    for term in exp.terms:
+        res = term.coefficient
+        gap = res.diagnostics["max_disagreement"]
+        resid = max(res.diagnostics["residuals"].values())
+        worst_gap = max(worst_gap, gap)
+        worst_resid = max(worst_resid, resid)
+        rows.append({
+            "levi": list(res.levi.parts),
+            "orbits": [list(o.parts) for o in res.levi.orbits],
+            "induced_orbit": res.orbit,
+            "a": res.a_value,
+            "a_tilde": res.a_tilde_value,
+            "weyl_weight": res.weyl_weight,
+            "class_size": term.class_size,
+            "max_route_disagreement": gap,
+            "max_cancellation_residual": resid,
+        })
+    diagnostics = {
+        "rows": len(rows),
+        "max_route_disagreement": worst_gap,
+        "max_cancellation_residual": worst_resid,
+    }
+    _emit(_payload(config, query, rows, diagnostics), args.format)
     return 0
 
 
@@ -216,37 +208,35 @@ def cmd_expansion(args, config: RunConfig) -> int:
     field = _load_field(config)
     query = {"command": "expansion", "d": d, "r": r, "S": places.label(),
              "jobs": args.jobs}
-    with working(config.precision_bits):
-        try:
-            exp = expansion(d, r, places, field, config.seed,
-                            config.tolerance(), config.jet_guard_order,
-                            jobs=args.jobs)
-        except RouteDisagreementError as exc:
-            _emit(_payload(config, query, [], {"error": str(exc),
-                                               "passed": False}), args.format)
-            return 2
-        rows = []
-        worst_gap = mp.mpf(0)
-        for term in exp.terms:
-            coeff = term.coefficient
-            worst_gap = max(worst_gap, coeff.diagnostics["max_disagreement"])
-            rows.append({
-                "local_symbol": term.local_symbol,
-                "levi": list(coeff.levi.parts),
-                "orbits": [list(o.parts) for o in coeff.levi.orbits],
-                "a": coeff.a_value,
-                "a_tilde": coeff.a_tilde_value,
-                "weyl_weight": coeff.weyl_weight,
-                "class_size": term.class_size,
-                "standard_levi_count": term.standard_levi_count,
-            })
-        diagnostics = {
-            "orbit": exp.orbit,
-            "terms": len(rows),
-            "field": exp.field_label,
-            "max_route_disagreement": worst_gap,
-        }
-        _emit(_payload(config, query, rows, diagnostics), args.format)
+    try:
+        exp = expansion(d, r, places, field, config.seed,
+                        config.jet_guard_order, jobs=args.jobs)
+    except RouteDisagreementError as exc:
+        _emit(_payload(config, query, [], {"error": str(exc),
+                                           "passed": False}), args.format)
+        return 2
+    rows = []
+    worst_gap = mp.mpf(0)
+    for term in exp.terms:
+        coeff = term.coefficient
+        worst_gap = max(worst_gap, coeff.diagnostics["max_disagreement"])
+        rows.append({
+            "local_symbol": term.local_symbol,
+            "levi": list(coeff.levi.parts),
+            "orbits": [list(o.parts) for o in coeff.levi.orbits],
+            "a": coeff.a_value,
+            "a_tilde": coeff.a_tilde_value,
+            "weyl_weight": coeff.weyl_weight,
+            "class_size": term.class_size,
+            "standard_levi_count": term.standard_levi_count,
+        })
+    diagnostics = {
+        "orbit": exp.orbit,
+        "terms": len(rows),
+        "field": exp.field_label,
+        "max_route_disagreement": worst_gap,
+    }
+    _emit(_payload(config, query, rows, diagnostics), args.format)
     return 0
 
 
@@ -260,20 +250,19 @@ def cmd_zeta(args, config: RunConfig) -> int:
     order = config.jet_guard_order
     query = {"command": "zeta", "eval": args.eval, "at": center, "d": d,
              "S": places.label(), "order": order}
-    with working(config.precision_bits):
-        if args.eval == "xi":
-            jet = xi_jet(center, order, field)
-        elif args.eval == "ztilde":
-            jet = ztilde_jet(d, center, order, field)
-        elif args.eval == "z-local":
-            jet = z_s_local_jet(d, places, center, order, field)
-        else:
-            jet = ztilde_s_jet(d, places, center, order, field)
-        rows = [{"order": k, "coefficient": coeff}
-                for k, coeff in zip(range(jet.low, jet.low + len(jet.coeffs)),
-                                    jet.coeffs)]
-        diagnostics = {"low_order": jet.low, "coefficients": len(rows)}
-        _emit(_payload(config, query, rows, diagnostics), args.format)
+    if args.eval == "xi":
+        jet = xi_jet(center, order, field)
+    elif args.eval == "ztilde":
+        jet = ztilde_jet(d, center, order, field)
+    elif args.eval == "z-local":
+        jet = z_s_local_jet(d, places, center, order, field)
+    else:
+        jet = ztilde_s_jet(d, places, center, order, field)
+    rows = [{"order": k, "coefficient": coeff}
+            for k, coeff in zip(range(jet.low, jet.low + len(jet.coeffs)),
+                                jet.coeffs)]
+    diagnostics = {"low_order": jet.low, "coefficients": len(rows)}
+    _emit(_payload(config, query, rows, diagnostics), args.format)
     return 0
 
 
@@ -281,12 +270,11 @@ def cmd_volumes(args, config: RunConfig) -> int:
     d, r = _resolve_shape(args)
     field = _load_field(config)
     query = {"command": "volumes", "d": d, "r": r}
-    with working(config.precision_bits):
-        rows = []
-        for P in enumerate_parabolics(d, r):
-            table = volumes(P, field)
-            rows.append({"parts": list(P.parts), **table})
-        _emit(_payload(config, query, rows, {"rows": len(rows)}), args.format)
+    rows = []
+    for P in enumerate_parabolics(d, r):
+        table = volumes(P, field)
+        rows.append({"parts": list(P.parts), **table})
+    _emit(_payload(config, query, rows, {"rows": len(rows)}), args.format)
     return 0
 
 
@@ -319,7 +307,7 @@ def _shapes_up_to(n_max: int, min_r: int = 1):
             yield d, r
 
 
-def _suite_covolumes(args, config: RunConfig, field) -> tuple[list, dict, bool]:
+def _suite_covolumes(args, config: RunConfig, field) -> tuple[list, dict]:
     n_max = args.n if args.n is not None else 8
     rows = []
     exact_ok = True
@@ -330,7 +318,6 @@ def _suite_covolumes(args, config: RunConfig, field) -> tuple[list, dict, bool]:
         rows.append({"check": f"coroot_gram_det_gl{m}", "value": det,
                      "expected": m, "exact": ok})
     worst = mp.mpf(0)
-    from .rootdata import covolume
     for d, r in _shapes_up_to(n_max, min_r=2):
         local_worst = mp.mpf(0)
         for P in enumerate_parabolics(d, r):
@@ -341,8 +328,8 @@ def _suite_covolumes(args, config: RunConfig, field) -> tuple[list, dict, bool]:
         rows.append({"check": f"dual_product_d{d}_r{r}",
                      "max_product_residual": local_worst,
                      "parabolics": len(enumerate_parabolics(d, r))})
-    passed = exact_ok and worst < mp.mpf("1e-30")
-    return rows, {"max_product_residual": worst, "passed": passed}, passed
+    passed = exact_ok and worst < tolerance()
+    return rows, {"max_product_residual": worst, "passed": passed}
 
 
 def _random_germ(rng: random.Random, n: int) -> SmoothGerm:
@@ -359,7 +346,7 @@ def _random_germ(rng: random.Random, n: int) -> SmoothGerm:
     return germ + atom().scaled(Q(rng.randint(-3, 3), rng.randint(1, 3)))
 
 
-def _suite_cp(args, config: RunConfig, field) -> tuple[list, dict, bool]:
+def _suite_cp(args, config: RunConfig, field) -> tuple[list, dict]:
     n_max = args.n if args.n is not None else 6
     count = 20
     rows = []
@@ -380,11 +367,10 @@ def _suite_cp(args, config: RunConfig, field) -> tuple[list, dict, bool]:
             local = max(local, gap)
         worst = max(worst, local)
         rows.append({"d": d, "r": r, "germs": count, "max_gap": local})
-    passed = worst < mp.mpf("1e-25")
-    return rows, {"max_gap": worst, "passed": passed}, passed
+    return rows, {"max_gap": worst, "passed": worst < tolerance()}
 
 
-def _suite_prolongement(args, config: RunConfig, field) -> tuple[list, dict, bool]:
+def _suite_prolongement(args, config: RunConfig, field) -> tuple[list, dict]:
     n_max = args.n if args.n is not None else 6
     rows = []
     worst = mp.mpf(0)
@@ -399,11 +385,10 @@ def _suite_prolongement(args, config: RunConfig, field) -> tuple[list, dict, boo
         worst = max(worst, local)
         rows.append({"d": d, "r": r, "parabolics": count,
                      "max_residual": local})
-    passed = worst < mp.mpf("1e-25")
-    return rows, {"max_residual": worst, "passed": passed}, passed
+    return rows, {"max_residual": worst, "passed": worst < tolerance()}
 
 
-def _suite_induction(args, config: RunConfig, field) -> tuple[list, dict, bool]:
+def _suite_induction(args, config: RunConfig, field) -> tuple[list, dict]:
     n_max = args.n if args.n is not None else 8
     checked = 0
     failures = []
@@ -435,12 +420,10 @@ def _suite_induction(args, config: RunConfig, field) -> tuple[list, dict, bool]:
              "inducing_pair_shapes": pair_shapes,
              "inducing_pair_classes": pair_classes,
              "failures": len(failures)}]
-    passed = not failures
-    diagnostics = {"failures": failures, "passed": passed}
-    return rows, diagnostics, passed
+    return rows, {"failures": failures, "passed": not failures}
 
 
-def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict, bool]:
+def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict]:
     n_max = args.n if args.n is not None else 6
     place_sets = ("", "2", "2,3,5")
     rows = []
@@ -454,8 +437,7 @@ def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict, bool]:
             for label in place_sets:
                 res = a_coefficient(BlockProfile(d, mu),
                                     PlaceSet.parse(label), field,
-                                    config.seed, config.tolerance(),
-                                    config.jet_guard_order)
+                                    config.seed, config.jet_guard_order)
                 levels += 1
                 local_gap = max(local_gap, res.diagnostics["max_disagreement"])
                 local_resid = max(local_resid,
@@ -465,11 +447,9 @@ def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict, bool]:
         rows.append({"d": d, "r": r, "evaluations": levels,
                      "max_disagreement": local_gap,
                      "max_residual": local_resid})
-    passed = (worst_gap < mp.mpf("1e-25")
-              and worst_resid <= mp.mpf(2) ** -128)
-    diagnostics = {"max_disagreement": worst_gap,
-                   "max_residual": worst_resid, "passed": passed}
-    return rows, diagnostics, passed
+    passed = worst_gap < tolerance() and worst_resid <= tolerance()
+    return rows, {"max_disagreement": worst_gap,
+                  "max_residual": worst_resid, "passed": passed}
 
 
 SUITES = {
@@ -484,10 +464,9 @@ SUITES = {
 def cmd_verify(args, config: RunConfig) -> int:
     field = _load_field(config)
     query = {"command": "verify", "suite": args.suite, "n": args.n}
-    with working(config.precision_bits):
-        rows, diagnostics, passed = SUITES[args.suite](args, config, field)
-        _emit(_payload(config, query, rows, diagnostics), args.format)
-    return 0 if passed else 1
+    rows, diagnostics = SUITES[args.suite](args, config, field)
+    _emit(_payload(config, query, rows, diagnostics), args.format)
+    return 0 if diagnostics["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +553,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        return COMMANDS[args.command](args, config)
+        with working(config.precision_bits):
+            return COMMANDS[args.command](args, config)
     except (ProviderError, ValueError, OSError, ArithmeticError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,8 @@ import mpmath as mp
 from .gmfamily import (GenericDirection, RouteValue, SmoothGerm,
                        arthur_derivative_value, c, draw_generic_direction,
                        symmetrized_value, tilde_c)
-from .jets import Jet, LinearFactor, split_monomial
-from .numeric import default_tol, to_mpf
+from .jets import Jet, LinearFactor, div_by_monomial
+from .numeric import requested_prec, to_mpf, tolerance, working
 from .orbits import (InducingPair, LeviDatum, Partition, block_pair,
                      enumerate_inducing_pairs, induce, partitions)
 from .rootdata import (BlockProfile, base_profile, group_profile,
@@ -51,6 +51,25 @@ class RouteDisagreementError(ArithmeticError):
         super().__init__(
             f"route disagreement {mp.nstr(disagreement, 8)} exceeds "
             f"{mp.nstr(tolerance, 8)} ({where})")
+
+
+def _cross_checked_routes(germ: SmoothGerm, level: BlockProfile,
+                          direction: GenericDirection, order_pad: int,
+                          where: str) -> tuple[tuple[RouteValue, ...], mp.mpf]:
+    """All four routes, symmetrized first, and their largest relative gap;
+    a gap above the tolerance raises RouteDisagreementError."""
+    routes = (
+        symmetrized_value(germ, level, direction, order_pad),
+        tilde_c(germ, level, direction, order_pad),
+        c(germ, level, direction, order_pad),
+        arthur_derivative_value(germ, level, direction),
+    )
+    values = [rv.value for rv in routes]
+    scale = max(mp.mpf(1), max(abs(v) for v in values))
+    disagreement = max(abs(a - b) for a in values for b in values) / scale
+    if disagreement > tolerance():
+        raise RouteDisagreementError(disagreement, tolerance(), where)
+    return routes, disagreement
 
 
 # ---------------------------------------------------------------------------
@@ -121,33 +140,22 @@ class CoefficientResult:
     diagnostics: dict
 
 
+@working()
 def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
                   field: NumberFieldData | None = None, seed: int = 0,
-                  tol=None, order_pad: int = 4) -> CoefficientResult:
+                  order_pad: int = 4) -> CoefficientResult:
     """Coefficient for the Levi grouping the d-blocks per `level.parts`.
 
     The symmetrized route supplies the reported value; the two
     alternating routes and the derivative route are always run as well
-    and must agree within tol (default 2^(-prec/2) relative), else
-    RouteDisagreementError.
+    and must agree within numeric.tolerance(), else RouteDisagreementError.
     """
     field = _resolve_field(field)
-    if tol is None:
-        tol = default_tol()
     germ = phi_for_L(level, places, field)
     direction = draw_generic_direction(level.d, level.parts, seed)
-    routes = (
-        symmetrized_value(germ, level, direction, tol, order_pad),
-        tilde_c(germ, level, direction, tol, order_pad),
-        c(germ, level, direction, tol, order_pad),
-        arthur_derivative_value(germ, level, direction),
-    )
-    values = [rv.value for rv in routes]
-    scale = max(mp.mpf(1), max(abs(v) for v in values))
-    disagreement = max(abs(a - b) for a in values for b in values) / scale
-    if disagreement > tol:
-        raise RouteDisagreementError(disagreement, tol,
-                                     f"level {level.parts}, S={places.label()}")
+    routes, disagreement = _cross_checked_routes(
+        germ, level, direction, order_pad,
+        f"level {level.parts}, S={places.label()}")
     a_value = routes[0].value
     vol = vol_minimal_levi(level.d, level.r, field)
     diagnostics = {
@@ -155,7 +163,8 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
         "residuals": {rv.route: rv.residual for rv in routes},
         "max_disagreement": disagreement,
         "direction_seed": seed,
-        "precision_bits": mp.mp.prec,
+        "requested_bits": requested_prec(),
+        "working_bits": mp.mp.prec,
     }
     pair = block_pair(level)
     return CoefficientResult(
@@ -169,9 +178,10 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
     )
 
 
+@working()
 def a_tilde(levi: LeviDatum, d: int, places: PlaceSet = EMPTY_PLACES,
             field: NumberFieldData | None = None, seed: int = 0,
-            tol=None, order_pad: int = 4) -> CoefficientResult:
+            order_pad: int = 4) -> CoefficientResult:
     """Volume-weighted coefficient for a (Levi, orbit) conjugacy class.
 
     The class must be one of the inducing pairs of the block-regular
@@ -183,8 +193,7 @@ def a_tilde(levi: LeviDatum, d: int, places: PlaceSet = EMPTY_PLACES,
                          f"block-regular orbit with d={d}")
     for pair in enumerate_inducing_pairs(d, levi.n // d):
         if pair.levi == levi:
-            return a_coefficient(pair.profile, places, field, seed, tol,
-                                 order_pad)
+            return a_coefficient(pair.profile, places, field, seed, order_pad)
     raise ValueError(f"Levi {levi.parts} with orbits "
                      f"{[o.parts for o in levi.orbits]} does not induce the "
                      f"block-regular orbit with d={d}")
@@ -295,28 +304,24 @@ def prolongation_identity_residuals(P: BlockProfile,
     return tuple(out)
 
 
+@working()
 def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
-             seed: int = 0, tol=None, order_pad: int = 4) -> RouteValue:
+             seed: int = 0, order_pad: int = 4) -> RouteValue:
     """Value at 0 of the Weyl-symmetrized regularized ambient integral.
 
     Computed with the germ engine on the product of complete d-tower
-    factors, cross-checked against the alternating route.
+    factors, cross-checked against the other three routes.
     """
     field = _resolve_field(field)
-    if tol is None:
-        tol = default_tol()
     level = group_profile(d, r)
     provider = _tower_provider(d, field)
     factors = tuple(LinearFactor(provider, w, Q(1, d))
                     for w in simple_data(base_profile(d, r)).coweights)
     germ = SmoothGerm(((Q(1), factors),), label=f"unit[{d},{r}]")
     direction = draw_generic_direction(d, (r,), seed)
-    sym = symmetrized_value(germ, level, direction, tol, order_pad)
-    alt = tilde_c(germ, level, direction, tol, order_pad)
+    (sym, *_), _ = _cross_checked_routes(germ, level, direction, order_pad,
+                                         f"unit value ({d},{r})")
     const = _j_tilde_prefactor(d, r, field)
-    gap = abs(sym.value - alt.value) / max(mp.mpf(1), abs(sym.value))
-    if gap > tol:
-        raise RouteDisagreementError(gap, tol, f"unit value ({d},{r})")
     return RouteValue(const * sym.value, sym.residual, "symmetrized")
 
 
@@ -326,7 +331,7 @@ def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
 
 def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
                          field: NumberFieldData, seed: int = 0,
-                         order_pad: int = 4, tol=None) -> mp.mpf:
+                         order_pad: int = 4) -> mp.mpf:
     """Value at 0 of the arrangement-summed local family for one Levi class.
 
     Sums over all orderings of the coarse blocks; each term carries the
@@ -339,8 +344,6 @@ def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
     local_value = z_s_local_jet(d, places, d, 1, field).coeff(0)
     if m == 1:
         return local_value ** (r - 1)
-    if tol is None:
-        tol = default_tol()
     fine_coweights = simple_data(base_profile(d, r)).coweights
     rng = random.Random(f"coarse:{seed}:{d}:{comp}:{places.label()}")
 
@@ -375,11 +378,8 @@ def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
         for w in fine_coweights:
             jet = jet * tower.scale_arg(pairing(vec, w) / Q(d))
         total = total + jet.scale(th.covolume() / to_mpf(th.rational_part(vec)))
-    analytic, residual = split_monomial(total, k)
-    if residual > tol:
-        from .jets import CancellationError
-        raise CancellationError(residual, where=f"coarse family {comp}")
-    return analytic.coeff(0)
+    return div_by_monomial(total, k, tolerance(),
+                           f"coarse family {comp}").coeff(0)
 
 
 def unit_expansion_residual(d: int, r: int, places: PlaceSet,
@@ -440,11 +440,10 @@ def _local_symbol(levi: LeviDatum, places: PlaceSet) -> str:
 
 
 def _term_for_pair(pair: InducingPair, places: PlaceSet,
-                   field: NumberFieldData, seed: int, tol,
+                   field: NumberFieldData, seed: int,
                    order_pad: int) -> ExpansionTerm:
     return ExpansionTerm(
-        coefficient=a_coefficient(pair.profile, places, field, seed, tol,
-                                  order_pad),
+        coefficient=a_coefficient(pair.profile, places, field, seed, order_pad),
         local_symbol=_local_symbol(pair.levi, places),
         class_size=pair.class_size,
         standard_levi_count=pair.standard_levi_count,
@@ -452,14 +451,15 @@ def _term_for_pair(pair: InducingPair, places: PlaceSet,
 
 
 def _term_worker(args) -> ExpansionTerm:
-    (pair, places, field, seed, tol, order_pad, prec) = args
-    mp.mp.prec = prec
-    return _term_for_pair(pair, places, field, seed, tol, order_pad)
+    (pair, places, field, seed, order_pad, prec) = args
+    with working(prec):
+        return _term_for_pair(pair, places, field, seed, order_pad)
 
 
+@working()
 def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
               field: NumberFieldData | None = None, seed: int = 0,
-              tol=None, order_pad: int = 4, jobs: int = 1) -> FormalExpansion:
+              order_pad: int = 4, jobs: int = 1) -> FormalExpansion:
     """The fine expansion at the block-regular orbit as a formal object.
 
     One term per conjugacy class of inducing pairs, in the canonical
@@ -471,13 +471,13 @@ def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
     pairs = enumerate_inducing_pairs(d, r)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(pair, places, field, seed, tol, order_pad, mp.mp.prec)
+        args = [(pair, places, field, seed, order_pad, requested_prec())
                 for pair in pairs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             terms = tuple(pool.map(_term_worker, args))
     else:
-        terms = tuple(_term_for_pair(pair, places, field, seed, tol,
-                                     order_pad) for pair in pairs)
+        terms = tuple(_term_for_pair(pair, places, field, seed, order_pad)
+                      for pair in pairs)
     return FormalExpansion(
         d=d,
         r=r,

@@ -31,7 +31,7 @@ import mpmath as mp
 
 from .jets import (CancellationError, Jet, LinearFactor, compose_linear,
                    split_monomial)
-from .numeric import default_tol, to_mpf
+from .numeric import to_mpf, tolerance
 from .rootdata import (BlockProfile, base_profile, block_permutations,
                        compositions, epsilon, hat_theta_factor, pairing,
                        permute_blocks, project, theta_factor)
@@ -246,17 +246,15 @@ def _pole_order(level: BlockProfile) -> int:
     return level.r - level.k
 
 
-def _read_off(total: Jet, k: int, tol, route: str) -> RouteValue:
+def _read_off(total: Jet, k: int, route: str) -> RouteValue:
     analytic, residual = split_monomial(total, k)
-    if tol is None:
-        tol = default_tol()
-    if residual > tol:
+    if residual > tolerance():
         raise CancellationError(residual, where=route)
     return RouteValue(analytic.coeff(0), residual, route)
 
 
 def _alternating(germ: SmoothGerm, level: BlockProfile,
-                 direction: GenericDirection, tol, order_pad: int,
+                 direction: GenericDirection, order_pad: int,
                  lower: bool) -> RouteValue:
     d = level.d
     base = base_profile(d, level.r)
@@ -279,26 +277,25 @@ def _alternating(germ: SmoothGerm, level: BlockProfile,
         scalar = sign * hat.covolume() * th.covolume() / to_mpf(rat)
         total = total + jet.scale(scalar)
     route = "alternating-lower" if lower else "alternating-upper"
-    return _read_off(total, k, tol, route)
+    return _read_off(total, k, route)
 
 
 def tilde_c(germ: SmoothGerm, level: BlockProfile,
-            direction: GenericDirection, tol=None,
-            order_pad: int = 4) -> RouteValue:
+            direction: GenericDirection, order_pad: int = 4) -> RouteValue:
     """Limit at 0 of the alternating sum pairing phi with the upper
     (block-mean-free) projections."""
-    return _alternating(germ, level, direction, tol, order_pad, lower=False)
+    return _alternating(germ, level, direction, order_pad, lower=False)
 
 
 def c(germ: SmoothGerm, level: BlockProfile, direction: GenericDirection,
-      tol=None, order_pad: int = 4) -> RouteValue:
+      order_pad: int = 4) -> RouteValue:
     """Limit at 0 of the alternating sum pairing phi with the lower
     (block-mean) projections."""
-    return _alternating(germ, level, direction, tol, order_pad, lower=True)
+    return _alternating(germ, level, direction, order_pad, lower=True)
 
 
 def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
-                      direction: GenericDirection, tol=None,
+                      direction: GenericDirection,
                       order_pad: int = 4) -> RouteValue:
     """Limit at 0 of the Weyl average of phi(w lam) over the permuted
     pairing product."""
@@ -322,7 +319,7 @@ def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
         jet = germ.line_jet(wlam, order)
         total = total + jet.scale(covol / to_mpf(rat))
     total = total.scale(Q(1, len(perms)))
-    return _read_off(total, k, tol, "symmetrized")
+    return _read_off(total, k, "symmetrized")
 
 
 def arthur_derivative_value(germ: SmoothGerm, level: BlockProfile,

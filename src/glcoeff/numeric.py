@@ -1,15 +1,18 @@
-"""Shared precision plumbing.
+"""The precision policy and shared numeric plumbing.
 
-Every numeric routine in this package takes an explicit binary precision
-`prec` and does its internal work at `prec + GUARD_BITS` so that values
-handed back to the caller are correct essentially to the last bit of the
-requested precision.  Exact data (pairings, Gram determinants, rates)
-stays in `fractions.Fraction` for as long as possible.
+`working(prec)` is the only place that sets precision: it records `prec`
+as the requested precision and runs its block at `prec + GUARD_BITS`, so
+values handed back to the caller are correct essentially to the last bit
+of the requested precision.  The route and cancellation tolerance,
+2^-(requested // 2), follows from the requested precision alone.  Exact
+data (pairings, Gram determinants, rates) stays in `fractions.Fraction`
+for as long as possible.
 """
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +21,8 @@ from mpmath import libmp
 DEFAULT_PREC = 256
 GUARD_BITS = 64
 MIN_PREC = 16
+
+_requested: ContextVar[int | None] = ContextVar("requested_prec", default=None)
 
 
 def default_prec() -> int:
@@ -31,17 +36,34 @@ def default_prec() -> int:
     return prec
 
 
+def requested_prec() -> int:
+    """The prec of the innermost `working` block, else default_prec()."""
+    prec = _requested.get()
+    return default_prec() if prec is None else prec
+
+
 @contextmanager
-def working(prec: int, guard: int = GUARD_BITS):
-    """Context manager: mpmath working precision prec + guard bits."""
-    with mp.workprec(prec + guard):
-        yield
+def working(prec: int | None = None):
+    """Request prec bits (default: the precision already requested) and
+    work at prec + GUARD_BITS.  `@working()` runs each call of an entry
+    point at the requested precision, whatever mpmath's global state."""
+    if prec is None:
+        prec = requested_prec()
+    token = _requested.set(prec)
+    try:
+        with mp.workprec(prec + GUARD_BITS):
+            yield
+    finally:
+        _requested.reset(token)
 
 
-def default_tol() -> mp.mpf:
-    """Route and cancellation tolerance when none is given: 2^(-prec/2)
-    relative, at the current working precision."""
-    return mp.mpf(2) ** (-(mp.mp.prec // 2))
+def tolerance_exponent(prec: int) -> int:
+    return prec // 2
+
+
+def tolerance() -> mp.mpf:
+    """Relative route and cancellation tolerance: 2^-(requested // 2)."""
+    return mp.mpf(2) ** -tolerance_exponent(requested_prec())
 
 
 def to_mpf(x) -> mp.mpf:
@@ -57,9 +79,9 @@ def sqrt_fraction(q: Fraction) -> mp.mpf:
     return mp.sqrt(to_mpf(q))
 
 
-def decimal_str(x, prec: int) -> str:
-    """Decimal string carrying the full precision (round-trips to <= 1 ulp)."""
-    digits = libmp.prec_to_dps(prec) + 3
+def decimal_str(x) -> str:
+    """Decimal string at the requested precision (round-trips to <= 1 ulp)."""
+    digits = libmp.prec_to_dps(requested_prec()) + 3
     return mp.nstr(mp.mpf(x), digits)
 
 

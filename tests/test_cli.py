@@ -167,16 +167,21 @@ def test_volume_table(capsys):
                                       "minimal_levi", "group_block"}
 
 
-@pytest.mark.parametrize("suite,n", [
-    ("covolumes", "4"),
-    ("cp-identity", "3"),
-    ("prolongement4", "3"),
-    ("induction-oracle", "3"),
-    ("routes", "2"),
+SUITE_RANKS = [("covolumes", "4"), ("cp-identity", "3"),
+               ("prolongement4", "3"), ("induction-oracle", "3"),
+               ("routes", "2")]
+
+
+@pytest.mark.parametrize("suite,n,prec", [
+    pytest.param(suite, n, prec,
+                 id=f"{suite}-{n}" if prec == "128" else f"{suite}-{n}-{prec}")
+    for prec in ("128", "16", "1024") for suite, n in SUITE_RANKS
 ])
-def test_verification_suites_pass_at_small_rank(capsys, suite, n):
+def test_verification_suites_pass_at_small_rank(capsys, suite, n, prec):
+    """The suite bounds follow --prec, so every suite passes at any
+    precision."""
     code, out, _ = run_cli(capsys, "verify", suite, "--n", n,
-                           "--prec", "128")
+                           "--prec", prec)
     assert code == 0
     doc = json.loads(out)
     assert doc["diagnostics"]["passed"] is True
@@ -203,6 +208,8 @@ def test_contradictory_shape_exits_nonzero(capsys):
     ("coeff", "--n", "6", "--d", "0"),
     ("zeta", "--eval", "ztilde", "--at", "1", "--d", "-2"),
     ("zeta", "--eval", "ztilde-s", "--at", "1", "--d", "0"),
+    ("coeff", "--d", "1", "--r", "2", "--order", "0"),
+    ("zeta", "--eval", "xi", "--at", "2", "--order", "-2"),
 ])
 def test_nonpositive_shape_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

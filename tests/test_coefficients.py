@@ -9,11 +9,14 @@ from fractions import Fraction as Q
 import mpmath as mp
 import pytest
 
+from glcoeff import coefficients
 from glcoeff.coefficients import (J_o_unit, J_P_unit, J_tilde_unit,
-                                  a_coefficient, a_tilde, expansion,
-                                  phi_for_L, prolongation_identity_residuals,
+                                  RouteDisagreementError, a_coefficient,
+                                  a_tilde, expansion, phi_for_L,
+                                  prolongation_identity_residuals,
                                   unit_expansion_residual)
-from glcoeff.gmfamily import SmoothGerm, draw_generic_direction, symmetrized_value
+from glcoeff.gmfamily import (RouteValue, SmoothGerm, draw_generic_direction,
+                              symmetrized_value)
 from glcoeff.jets import LinearFactor
 from glcoeff.numeric import to_mpf, working
 from glcoeff.orbits import LeviDatum, Partition, enumerate_inducing_pairs
@@ -197,6 +200,19 @@ def test_unit_value_gl1_and_gl2():
         assert abs(J_o_unit(1, 1).value - 1) < mp.mpf("1e-50")
         v = J_o_unit(1, 2)
         assert abs(v.value - mp.mpf(GL2_NO_PLACES)) < mp.mpf("1e-29")
+
+
+def test_unit_value_checks_every_route(monkeypatch):
+    derivative = coefficients.arthur_derivative_value
+
+    def perturbed(*args):
+        rv = derivative(*args)
+        return RouteValue(rv.value + mp.mpf("1e-6"), rv.residual, rv.route)
+
+    monkeypatch.setattr(coefficients, "arthur_derivative_value", perturbed)
+    with working(128):
+        with pytest.raises(RouteDisagreementError):
+            J_o_unit(1, 3)
 
 
 def test_unit_value_is_direction_independent():

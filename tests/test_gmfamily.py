@@ -244,7 +244,7 @@ def test_direction_level_mismatch_is_rejected():
             route(germ, BlockProfile(1, (3,)), direction)
 
 
-def test_unachievable_tolerance_raises():
+def test_unachievable_tolerance_raises(monkeypatch):
     level = BlockProfile(1, (3,))
     germ = SmoothGerm.exp_pairing((Q(1), Q(-2), Q(1))) * SmoothGerm.linear(
         (Q(2), Q(0), Q(-1)), shift=3
@@ -253,5 +253,6 @@ def test_unachievable_tolerance_raises():
     with working(128):
         residual = tilde_c(germ, level, direction).residual
         assert residual > 0
+        monkeypatch.setattr(gm, "tolerance", lambda: mp.mpf(0))
         with pytest.raises(CancellationError):
-            tilde_c(germ, level, direction, tol=mp.mpf(0))
+            tilde_c(germ, level, direction)

@@ -66,11 +66,12 @@ def test_closed_form_gram_determinant_matches_elimination():
     checked = 0
     for fine, coarse in refinement_pairs(9):
         sd = simple_data(fine, coarse)
-        assert sd.coroot_gram_det == gram_determinant(sd.coroots)
-        assert 1 / sd.coroot_gram_det == gram_determinant(sd.coweights)
-        assert theta_factor(fine, coarse).gram_det == sd.coroot_gram_det
-        assert hat_theta_factor(fine, coarse).gram_det == \
-            gram_determinant(sd.coweights)
+        coroot_det = gram_determinant(sd.coroots)
+        coweight_det = gram_determinant(sd.coweights)
+        assert sd.coroot_gram_det == coroot_det
+        assert 1 / sd.coroot_gram_det == coweight_det
+        assert theta_factor(fine, coarse).gram_det == coroot_det
+        assert hat_theta_factor(fine, coarse).gram_det == coweight_det
         checked += 1
     assert checked == (3 ** 9 - 1) // 2
 
