@@ -40,7 +40,6 @@ class RunConfig:
     """Reproducibility envelope echoed verbatim into every output."""
 
     precision_bits: int = 256
-    jet_guard_order: int = 4
     seed: int = 0
     field: str = "Q"
 
@@ -53,11 +52,8 @@ def _config_from_args(args) -> RunConfig:
     prec = args.prec if args.prec is not None else default_prec()
     if prec < MIN_PREC:
         raise ValueError(f"--prec must be at least {MIN_PREC} bits, got {prec}")
-    if args.order < 1:
-        raise ValueError(f"--order must be at least 1, got {args.order}")
     return RunConfig(
         precision_bits=prec,
-        jet_guard_order=args.order,
         seed=args.seed,
         field=args.field,
     )
@@ -165,8 +161,7 @@ def cmd_coeff(args, config: RunConfig) -> int:
     field = _load_field(config)
     query = {"command": "coeff", "d": d, "r": r, "S": places.label()}
     try:
-        exp = expansion(d, r, places, field, config.seed,
-                        config.jet_guard_order)
+        exp = expansion(d, r, places, field, config.seed)
     except RouteDisagreementError as exc:
         _emit(_payload(config, query, [], {"error": str(exc),
                                            "passed": False}), args.format)
@@ -209,8 +204,7 @@ def cmd_expansion(args, config: RunConfig) -> int:
     query = {"command": "expansion", "d": d, "r": r, "S": places.label(),
              "jobs": args.jobs}
     try:
-        exp = expansion(d, r, places, field, config.seed,
-                        config.jet_guard_order, jobs=args.jobs)
+        exp = expansion(d, r, places, field, config.seed, jobs=args.jobs)
     except RouteDisagreementError as exc:
         _emit(_payload(config, query, [], {"error": str(exc),
                                            "passed": False}), args.format)
@@ -247,7 +241,9 @@ def cmd_zeta(args, config: RunConfig) -> int:
     d = args.d if args.d is not None else 1
     if d < 1:
         raise ValueError(f"--d must be at least 1, got {d}")
-    order = config.jet_guard_order
+    order = args.order
+    if order < 1:
+        raise ValueError(f"--order must be at least 1, got {order}")
     query = {"command": "zeta", "eval": args.eval, "at": center, "d": d,
              "S": places.label(), "order": order}
     if args.eval == "xi":
@@ -358,10 +354,8 @@ def _suite_cp(args, config: RunConfig, field) -> tuple[list, dict]:
         local = mp.mpf(0)
         for _ in range(count):
             germ = _random_germ(rng, d * r)
-            upper = tilde_c(germ, level, direction,
-                            order_pad=config.jet_guard_order)
-            lower = c(germ, level, direction,
-                      order_pad=config.jet_guard_order)
+            upper = tilde_c(germ, level, direction)
+            lower = c(germ, level, direction)
             gap = abs(upper.value - lower.value) / max(mp.mpf(1),
                                                        abs(upper.value))
             local = max(local, gap)
@@ -435,9 +429,8 @@ def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict]:
         levels = 0
         for mu in partitions(r):
             for label in place_sets:
-                res = a_coefficient(BlockProfile(d, mu),
-                                    PlaceSet.parse(label), field,
-                                    config.seed, config.jet_guard_order)
+                res = a_coefficient(BlockProfile(d, mu), PlaceSet.parse(label),
+                                    field, config.seed)
                 levels += 1
                 local_gap = max(local_gap, res.diagnostics["max_disagreement"])
                 local_resid = max(local_resid,
@@ -476,8 +469,6 @@ def cmd_verify(args, config: RunConfig) -> int:
 def _add_common(sp) -> None:
     sp.add_argument("--prec", type=int, default=None,
                     help="binary precision (default 256, or ARTHUR_COEFF_PREC)")
-    sp.add_argument("--order", type=int, default=4,
-                    help="jet guard order (and jet length for zeta)")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the generic direction draws")
     sp.add_argument("--field", default="Q",
@@ -520,6 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="expansion center, an exact rational like 2 or 3/2")
     zeta.add_argument("--d", type=int, default=None, help="tower degree")
     zeta.add_argument("--S", default="")
+    zeta.add_argument("--order", type=int, default=4,
+                      help="jet length: orders below it are printed")
     _add_common(zeta)
 
     vol = sub.add_parser("volumes", help="volume table per parabolic")

@@ -54,14 +54,14 @@ class RouteDisagreementError(ArithmeticError):
 
 
 def _cross_checked_routes(germ: SmoothGerm, level: BlockProfile,
-                          direction: GenericDirection, order_pad: int,
+                          direction: GenericDirection,
                           where: str) -> tuple[tuple[RouteValue, ...], mp.mpf]:
     """All four routes, symmetrized first, and their largest relative gap;
     a gap above the tolerance raises RouteDisagreementError."""
     routes = (
-        symmetrized_value(germ, level, direction, order_pad),
-        tilde_c(germ, level, direction, order_pad),
-        c(germ, level, direction, order_pad),
+        symmetrized_value(germ, level, direction),
+        tilde_c(germ, level, direction),
+        c(germ, level, direction),
         arthur_derivative_value(germ, level, direction),
     )
     values = [rv.value for rv in routes]
@@ -142,8 +142,8 @@ class CoefficientResult:
 
 @working()
 def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
-                  field: NumberFieldData | None = None, seed: int = 0,
-                  order_pad: int = 4) -> CoefficientResult:
+                  field: NumberFieldData | None = None,
+                  seed: int = 0) -> CoefficientResult:
     """Coefficient for the Levi grouping the d-blocks per `level.parts`.
 
     The symmetrized route supplies the reported value; the two
@@ -154,7 +154,7 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
     germ = phi_for_L(level, places, field)
     direction = draw_generic_direction(level.d, level.parts, seed)
     routes, disagreement = _cross_checked_routes(
-        germ, level, direction, order_pad,
+        germ, level, direction,
         f"level {level.parts}, S={places.label()}")
     a_value = routes[0].value
     vol = vol_minimal_levi(level.d, level.r, field)
@@ -180,8 +180,8 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
 
 @working()
 def a_tilde(levi: LeviDatum, d: int, places: PlaceSet = EMPTY_PLACES,
-            field: NumberFieldData | None = None, seed: int = 0,
-            order_pad: int = 4) -> CoefficientResult:
+            field: NumberFieldData | None = None,
+            seed: int = 0) -> CoefficientResult:
     """Volume-weighted coefficient for a (Levi, orbit) conjugacy class.
 
     The class must be one of the inducing pairs of the block-regular
@@ -193,7 +193,7 @@ def a_tilde(levi: LeviDatum, d: int, places: PlaceSet = EMPTY_PLACES,
                          f"block-regular orbit with d={d}")
     for pair in enumerate_inducing_pairs(d, levi.n // d):
         if pair.levi == levi:
-            return a_coefficient(pair.profile, places, field, seed, order_pad)
+            return a_coefficient(pair.profile, places, field, seed)
     raise ValueError(f"Levi {levi.parts} with orbits "
                      f"{[o.parts for o in levi.orbits]} does not induce the "
                      f"block-regular orbit with d={d}")
@@ -306,7 +306,7 @@ def prolongation_identity_residuals(P: BlockProfile,
 
 @working()
 def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
-             seed: int = 0, order_pad: int = 4) -> RouteValue:
+             seed: int = 0) -> RouteValue:
     """Value at 0 of the Weyl-symmetrized regularized ambient integral.
 
     Computed with the germ engine on the product of complete d-tower
@@ -319,7 +319,7 @@ def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
                     for w in simple_data(base_profile(d, r)).coweights)
     germ = SmoothGerm(((Q(1), factors),), label=f"unit[{d},{r}]")
     direction = draw_generic_direction(d, (r,), seed)
-    (sym, *_), _ = _cross_checked_routes(germ, level, direction, order_pad,
+    (sym, *_), _ = _cross_checked_routes(germ, level, direction,
                                          f"unit value ({d},{r})")
     const = _j_tilde_prefactor(d, r, field)
     return RouteValue(const * sym.value, sym.residual, "symmetrized")
@@ -330,8 +330,7 @@ def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
 
 
 def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
-                         field: NumberFieldData, seed: int = 0,
-                         order_pad: int = 4) -> mp.mpf:
+                         field: NumberFieldData, seed: int = 0) -> mp.mpf:
     """Value at 0 of the arrangement-summed local family for one Levi class.
 
     Sums over all orderings of the coarse blocks; each term carries the
@@ -367,8 +366,7 @@ def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
 
     vals = draw()
     k = m - 1
-    order = k + order_pad
-    tower = z_s_local_jet(d, places, d, order, field)
+    tower = z_s_local_jet(d, places, d, k + 1, field)
     total = Jet.polynomial({})
     for sigma in permutations(range(m)):
         prof = BlockProfile(d, tuple(comp[i] for i in sigma))
@@ -440,10 +438,9 @@ def _local_symbol(levi: LeviDatum, places: PlaceSet) -> str:
 
 
 def _term_for_pair(pair: InducingPair, places: PlaceSet,
-                   field: NumberFieldData, seed: int,
-                   order_pad: int) -> ExpansionTerm:
+                   field: NumberFieldData, seed: int) -> ExpansionTerm:
     return ExpansionTerm(
-        coefficient=a_coefficient(pair.profile, places, field, seed, order_pad),
+        coefficient=a_coefficient(pair.profile, places, field, seed),
         local_symbol=_local_symbol(pair.levi, places),
         class_size=pair.class_size,
         standard_levi_count=pair.standard_levi_count,
@@ -451,15 +448,15 @@ def _term_for_pair(pair: InducingPair, places: PlaceSet,
 
 
 def _term_worker(args) -> ExpansionTerm:
-    (pair, places, field, seed, order_pad, prec) = args
+    (pair, places, field, seed, prec) = args
     with working(prec):
-        return _term_for_pair(pair, places, field, seed, order_pad)
+        return _term_for_pair(pair, places, field, seed)
 
 
 @working()
 def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
               field: NumberFieldData | None = None, seed: int = 0,
-              order_pad: int = 4, jobs: int = 1) -> FormalExpansion:
+              jobs: int = 1) -> FormalExpansion:
     """The fine expansion at the block-regular orbit as a formal object.
 
     One term per conjugacy class of inducing pairs, in the canonical
@@ -471,12 +468,12 @@ def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
     pairs = enumerate_inducing_pairs(d, r)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(pair, places, field, seed, order_pad, requested_prec())
+        args = [(pair, places, field, seed, requested_prec())
                 for pair in pairs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             terms = tuple(pool.map(_term_worker, args))
     else:
-        terms = tuple(_term_for_pair(pair, places, field, seed, order_pad)
+        terms = tuple(_term_for_pair(pair, places, field, seed)
                       for pair in pairs)
     return FormalExpansion(
         d=d,

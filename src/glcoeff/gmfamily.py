@@ -9,12 +9,15 @@ restricted to a line lambda = t*lam0 and continued to t = 0.  Each
 individual term blows up like t^-k; the sum is analytic, and the code
 makes that literal: it adds the numerator jets, checks that the k
 lowest coefficients cancel to working precision, divides by t^k once
-and reads the constant term.
+and reads the constant term.  That constant term is coefficient k of
+the sum, so every line jet is built to order k + 1 and no further.
 
-Four independent routes to the same number are provided (two
-alternating sums over parabolics, a Weyl-symmetrized sum, and a k-th
-derivative formula evaluated at a single generic point).  Their mutual
-agreement is the main correctness instrument of the package.
+Four routes to the same number are provided (two alternating sums over
+parabolics, a Weyl-symmetrized sum, and a k-th derivative formula
+evaluated at a single generic point).  Three are independent: the
+derivative route reads coefficient k of the same upper alternating sum
+as tilde_c, so the two agree bit for bit.  The agreement of the routes
+is the main correctness instrument of the package.
 
 Directions are never trusted to be generic: they are drawn
 deterministically from a seed and certified by exact rational
@@ -254,15 +257,13 @@ def _read_off(total: Jet, k: int, route: str) -> RouteValue:
 
 
 def _alternating(germ: SmoothGerm, level: BlockProfile,
-                 direction: GenericDirection, order_pad: int,
-                 lower: bool) -> RouteValue:
+                 direction: GenericDirection, lower: bool) -> RouteValue:
     d = level.d
     base = base_profile(d, level.r)
     if (direction.d, direction.parts) != (d, level.parts):
         raise ValueError("direction was certified for a different level")
     k = _pole_order(level)
     lam0 = direction.vector
-    order = k + order_pad
     total = Jet.polynomial({})
     for P in levels_between(base, level):
         hat = hat_theta_factor(base, P)
@@ -273,7 +274,7 @@ def _alternating(germ: SmoothGerm, level: BlockProfile,
         rat = hat.rational_part(lam0) * th.rational_part(lam0)
         sign = epsilon(base, P) if lower else epsilon(P, level)
         upper, low_part = project(lam0, P)
-        jet = germ.line_jet(low_part if lower else upper, order)
+        jet = germ.line_jet(low_part if lower else upper, k + 1)
         scalar = sign * hat.covolume() * th.covolume() / to_mpf(rat)
         total = total + jet.scale(scalar)
     route = "alternating-lower" if lower else "alternating-upper"
@@ -281,22 +282,21 @@ def _alternating(germ: SmoothGerm, level: BlockProfile,
 
 
 def tilde_c(germ: SmoothGerm, level: BlockProfile,
-            direction: GenericDirection, order_pad: int = 4) -> RouteValue:
+            direction: GenericDirection) -> RouteValue:
     """Limit at 0 of the alternating sum pairing phi with the upper
     (block-mean-free) projections."""
-    return _alternating(germ, level, direction, order_pad, lower=False)
+    return _alternating(germ, level, direction, lower=False)
 
 
-def c(germ: SmoothGerm, level: BlockProfile, direction: GenericDirection,
-      order_pad: int = 4) -> RouteValue:
+def c(germ: SmoothGerm, level: BlockProfile,
+      direction: GenericDirection) -> RouteValue:
     """Limit at 0 of the alternating sum pairing phi with the lower
     (block-mean) projections."""
-    return _alternating(germ, level, direction, order_pad, lower=True)
+    return _alternating(germ, level, direction, lower=True)
 
 
 def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
-                      direction: GenericDirection,
-                      order_pad: int = 4) -> RouteValue:
+                      direction: GenericDirection) -> RouteValue:
     """Limit at 0 of the Weyl average of phi(w lam) over the permuted
     pairing product."""
     d = level.d
@@ -309,14 +309,13 @@ def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
         raise RuntimeError(f"pairing product of degree {k}, pole order "
                            f"{_pole_order(level)} at {level.parts}")
     lam0 = direction.vector
-    order = k + order_pad
     covol = th0.covolume()
     perms = list(block_permutations(level.parts))
     total = Jet.polynomial({})
     for sigma in perms:
         wlam = permute_blocks(d, sigma, lam0)
         rat = th0.rational_part(wlam)
-        jet = germ.line_jet(wlam, order)
+        jet = germ.line_jet(wlam, k + 1)
         total = total + jet.scale(covol / to_mpf(rat))
     total = total.scale(Q(1, len(perms)))
     return _read_off(total, k, "symmetrized")

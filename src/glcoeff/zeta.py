@@ -24,7 +24,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .jets import EXACT, Jet, exp_jet, strip_leading_zeros
-from .numeric import sqrt_fraction, to_mpf
+from .numeric import requested_prec, sqrt_fraction, to_mpf
 from .rootdata import BlockProfile, base_profile, group_profile
 
 TAIL_MARGIN_BITS = 8
@@ -277,49 +277,51 @@ def _zeta_jet_cached(center: Fraction, order: int, prec: int) -> Jet:
 def _euler_maclaurin_zeta(c: Fraction, order: int, n_cut: int, m_terms: int):
     c_mpf = to_mpf(c)
     pole = c == 1
-    internal = order + (1 if pole else 0)
 
-    coeffs = [mp.mpf(0)] * internal
+    coeffs = [mp.mpf(0)] * order
     for k in range(1, n_cut):
         term = mp.power(k, -c_mpf)
         coeffs[0] += term
         if k > 1:
             neg_log = -mp.log(k)
-            for j in range(1, internal):
+            for j in range(1, order):
                 term = term * neg_log / j
                 coeffs[j] += term
-    head = Jet(0, tuple(coeffs), internal)
+    head = Jet(0, tuple(coeffs), order)
 
-    exp_n = _exp_linear_jet(-mp.log(n_cut), internal)  # n_cut^-t
+    # n_cut^-t; at the pole, dividing by t costs the piece n_cut^(1-s)/(s-1)
+    # one order, so only this jet is built one order longer
+    exp_n = _exp_linear_jet(-mp.log(n_cut), order + 1 if pole else order)
     n_pow_c = mp.power(n_cut, -c_mpf)
     if pole:
         pole_piece = exp_n.scale(mp.power(n_cut, 1 - c_mpf)).shift(-1)
     else:
         denom = Jet.polynomial({0: c - 1, 1: 1})
-        pole_piece = exp_n.scale(mp.power(n_cut, 1 - c_mpf)) * denom.reciprocal(internal)
+        pole_piece = exp_n.scale(mp.power(n_cut, 1 - c_mpf)) * denom.reciprocal(order)
     half_piece = exp_n.scale(n_pow_c / 2)
 
     tail_poly = Jet.polynomial({})
     rising = Jet.polynomial({0: 1})  # jet of (s)_(2j-1) in t
     for j in range(1, m_terms + 1):
         if j == 1:
-            rising = _times_linear(rising, c, internal)
+            rising = _times_linear(rising, c, order)
         else:
-            rising = _times_linear(_times_linear(rising, c + 2 * j - 3, internal),
-                                   c + 2 * j - 2, internal)
+            rising = _times_linear(_times_linear(rising, c + 2 * j - 3, order),
+                                   c + 2 * j - 2, order)
         scale = mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.power(n_cut, 1 - 2 * j)
         tail_poly = tail_poly + rising.scale(scale)
     tail = tail_poly * exp_n.scale(n_pow_c)
 
-    next_rising = _times_linear(_times_linear(rising, c + 2 * m_terms - 1, internal),
-                                c + 2 * m_terms, internal)
+    # each kept order of the omitted term's jet is a sum of at most
+    # `order` products of a rising and an exp_n coefficient
+    next_rising = _times_linear(_times_linear(rising, c + 2 * m_terms - 1, order),
+                                c + 2 * m_terms, order)
     omit_scale = (abs(mp.bernoulli(2 * m_terms + 2)) / mp.factorial(2 * m_terms + 2)
                   * mp.power(n_cut, -1 - 2 * m_terms) * n_pow_c)
     omitted = (next_rising.scale_norm() * omit_scale
-               * max(mp.mpf(1), exp_n.scale_norm()) * internal)
+               * max(mp.mpf(1), exp_n.scale_norm()) * order)
 
-    total = head + pole_piece + half_piece + tail
-    return total.truncate(order), omitted
+    return head + pole_piece + half_piece + tail, omitted
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +494,7 @@ def _check_dirichlet_budget(field: NumberFieldData, c: Fraction, order: int):
         raise PrecisionBudgetError(
             f"file-backed field {field.label}: {m_cut} coefficients support "
             f"about {max(achievable, 0)} bits at center {c}, "
-            f"{mp.mp.prec} requested")
+            f"{requested_prec()} requested ({mp.mp.prec} working)")
 
 
 def _dirichlet_jet(field: NumberFieldData, c: Fraction, order: int) -> Jet:

@@ -27,7 +27,6 @@ def test_envelope_and_gl2_example(capsys):
     assert set(doc) == {"config", "query", "results", "diagnostics"}
     assert doc["config"] == {
         "precision_bits": 128,
-        "jet_guard_order": 4,
         "seed": 0,
         "field": "Q",
         "tolerance_exponent": 64,
@@ -208,7 +207,7 @@ def test_contradictory_shape_exits_nonzero(capsys):
     ("coeff", "--n", "6", "--d", "0"),
     ("zeta", "--eval", "ztilde", "--at", "1", "--d", "-2"),
     ("zeta", "--eval", "ztilde-s", "--at", "1", "--d", "0"),
-    ("coeff", "--d", "1", "--r", "2", "--order", "0"),
+    ("zeta", "--eval", "xi", "--at", "2", "--order", "0"),
     ("zeta", "--eval", "xi", "--at", "2", "--order", "-2"),
 ])
 def test_nonpositive_shape_exits_2(capsys, argv):
@@ -216,6 +215,18 @@ def test_nonpositive_shape_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "at least 1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("coeff", "--d", "1", "--r", "2"),
+    ("expansion", "--d", "1", "--r", "2"),
+    ("verify", "routes", "--n", "2"),
+])
+def test_order_is_a_zeta_flag_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--order", "4"])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prec", ["0", "-70", "15"])
@@ -279,4 +290,4 @@ def test_field_file_budget_failure_exits_cleanly(capsys, gaussian_field_file):
     code, _, err = run_cli(capsys, "zeta", "--eval", "xi", "--at", "6",
                            "--field", gaussian_field_file, "--prec", "64")
     assert code == 2
-    assert "error:" in err and "bits" in err
+    assert "error:" in err and "64 requested (128 working)" in err

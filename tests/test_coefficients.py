@@ -78,6 +78,24 @@ def test_diagnostics_record_all_routes():
     assert res.diagnostics["direction_seed"] == 0
 
 
+@pytest.mark.parametrize("d,parts", [(1, (3,)), (1, (2, 1)), (2, (2,))])
+def test_line_jets_stop_at_the_order_read(monkeypatch, d, parts):
+    """Every route reads coefficient k (the pole order) of a summed line
+    jet, so every line jet is built to order k + 1 and no further."""
+    orders = []
+    line_jet = SmoothGerm.line_jet
+
+    def recording(self, lam0, order):
+        orders.append(order)
+        return line_jet(self, lam0, order)
+
+    monkeypatch.setattr(SmoothGerm, "line_jet", recording)
+    with working(128):
+        a_coefficient(BlockProfile(d, parts))
+    k = sum(parts) - len(parts)
+    assert orders and set(orders) == {k + 1}
+
+
 def test_phi_is_one_at_the_origin():
     with working(128):
         for level in (BlockProfile(1, (3,)), BlockProfile(2, (2, 1))):

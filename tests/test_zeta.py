@@ -121,6 +121,29 @@ def test_gamma_jet_high_order_against_mpmath(prec):
         assert _max_rel_error(jet, ref, range(-1, HIGH_ORDER)) < tol
 
 
+def _agree_on_shared_orders(jets):
+    """Every jet keeps the orders of the shorter ones bit for bit."""
+    for short, long in zip(jets, jets[1:]):
+        assert short.low == long.low
+        for k in range(short.low, short.trunc):
+            assert short.coeff(k) == long.coeff(k), k
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+def test_truncated_jets_keep_their_orders_bit_for_bit(prec):
+    """A jet cut at a lower order is the longer jet cut there, exactly:
+    a limit route may build its jets only to the order it reads."""
+    orders = (1, 3, 8)
+    with working(prec):
+        for d in (1, 2):
+            for label in ("", "2,3", "2,inf"):
+                places = Z.PlaceSet.parse(label)
+                _agree_on_shared_orders(
+                    [Z.ztilde_s_jet(d, places, d, m) for m in orders])
+        _agree_on_shared_orders([Z.zeta_jet(1, m) for m in orders])
+        _agree_on_shared_orders([Z.gamma_jet(0, m) for m in orders])
+
+
 def test_every_cache_is_bounded():
     caches = {}
     for info in pkgutil.iter_modules(glcoeff.__path__):
