@@ -20,7 +20,8 @@ from itertools import product
 import mpmath as mp
 
 from .coefficients import (RouteDisagreementError, a_coefficient, expansion,
-                           prolongation_identity_residuals)
+                           prolongation_identity_residuals,
+                           unit_expansion_residual)
 from .gmfamily import SmoothGerm, c, draw_generic_direction, tilde_c
 from .numeric import (MIN_PREC, decimal_str, default_prec, parse_exact,
                       tolerance, tolerance_exponent, working)
@@ -297,6 +298,10 @@ def cmd_orbits(args, config: RunConfig) -> int:
 # verification suites
 
 
+# the place sets of the suites that compute coefficients
+SUITE_PLACE_SETS = ("", "2", "2,3,5")
+
+
 def _shapes_up_to(n_max: int, min_r: int = 1):
     for d in range(1, n_max + 1):
         for r in range(min_r, n_max // d + 1):
@@ -419,7 +424,6 @@ def _suite_induction(args, config: RunConfig, field) -> tuple[list, dict]:
 
 def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict]:
     n_max = args.n if args.n is not None else 6
-    place_sets = ("", "2", "2,3,5")
     rows = []
     worst_gap = mp.mpf(0)
     worst_resid = mp.mpf(0)
@@ -428,7 +432,7 @@ def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict]:
         local_resid = mp.mpf(0)
         levels = 0
         for mu in partitions(r):
-            for label in place_sets:
+            for label in SUITE_PLACE_SETS:
                 res = a_coefficient(BlockProfile(d, mu), PlaceSet.parse(label),
                                     field, config.seed)
                 levels += 1
@@ -445,16 +449,33 @@ def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict]:
                   "max_residual": worst_resid, "passed": passed}
 
 
+def _suite_unit_expansion(args, config: RunConfig, field) -> tuple[list, dict]:
+    n_max = args.n if args.n is not None else 6
+    rows = []
+    worst = mp.mpf(0)
+    for d, r in _shapes_up_to(n_max):
+        local = max(unit_expansion_residual(d, r, PlaceSet.parse(label),
+                                            field, config.seed)
+                    for label in SUITE_PLACE_SETS)
+        worst = max(worst, local)
+        rows.append({"d": d, "r": r, "place_sets": len(SUITE_PLACE_SETS),
+                     "max_gap": local})
+    return rows, {"max_gap": worst, "passed": worst < tolerance()}
+
+
 SUITES = {
     "cp-identity": _suite_cp,
     "covolumes": _suite_covolumes,
     "prolongement4": _suite_prolongement,
     "induction-oracle": _suite_induction,
     "routes": _suite_routes,
+    "unit-expansion": _suite_unit_expansion,
 }
 
 
 def cmd_verify(args, config: RunConfig) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     field = _load_field(config)
     query = {"command": "verify", "suite": args.suite, "n": args.n}
     rows, diagnostics = SUITES[args.suite](args, config, field)

@@ -10,7 +10,8 @@ individual term blows up like t^-k; the sum is analytic, and the code
 makes that literal: it adds the numerator jets, checks that the k
 lowest coefficients cancel to working precision, divides by t^k once
 and reads the constant term.  That constant term is coefficient k of
-the sum, so every line jet is built to order k + 1 and no further.
+the sum, so the enumerations below build every line jet to order k + 1
+and no further.
 
 Four routes to the same number are provided (two alternating sums over
 parabolics, a Weyl-symmetrized sum, and a k-th derivative formula
@@ -18,6 +19,22 @@ evaluated at a single generic point).  Three are independent: the
 derivative route reads coefficient k of the same upper alternating sum
 as tilde_c, so the two agree bit for bit.  The agreement of the routes
 is the main correctness instrument of the package.
+
+Product germs are evaluated one coarse block at a time.  A germ is in
+product form when every factor of every term pairs lambda with one of
+the coweights of (base, level), checked by exact equality of forms; the
+germs of the coefficient calculator are built that way.  The Weyl group,
+theta, hat theta, covolumes, signs and the intermediate levels all
+factor over the coarse blocks, so each route is a sum over terms of a
+product over blocks, and a block of p inner blocks has pole order p - 1:
+its jet is built to order p and its coefficient p - 1 is read off,
+cancellation checked.  Per block, the symmetrized route is a Held-Karp
+sum over (set of leading inner blocks, last block), p * 2^p jet
+products, and the alternating and derivative routes are a chain over
+the last P-interval, O(p^3) jet operations.  Every other germ goes
+through the enumerations over the Weyl group (p! per block) and over
+the 2^(r-1) intermediate levels; they are kept unchanged as the oracles
+the block routes are tested against.
 
 Directions are never trusted to be generic: they are drawn
 deterministically from a seed and certified by exact rational
@@ -27,17 +44,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from functools import partial
+from itertools import accumulate, combinations, product
+from math import factorial
 import random
 
 import mpmath as mp
 
 from .jets import (CancellationError, Jet, LinearFactor, compose_linear,
                    split_monomial)
-from .numeric import to_mpf, tolerance
+from .numeric import sqrt_fraction, to_mpf, tolerance
 from .rootdata import (BlockProfile, base_profile, block_permutations,
-                       compositions, epsilon, hat_theta_factor, pairing,
-                       permute_blocks, project, theta_factor)
+                       compositions, epsilon, hat_theta_factor,
+                       permute_blocks, project, simple_data, theta_factor)
 
 Q = Fraction
 
@@ -256,12 +275,164 @@ def _read_off(total: Jet, k: int, route: str) -> RouteValue:
     return RouteValue(analytic.coeff(0), residual, route)
 
 
-def _alternating(germ: SmoothGerm, level: BlockProfile,
-                 direction: GenericDirection, lower: bool) -> RouteValue:
+def _check_direction(direction: GenericDirection, level: BlockProfile) -> None:
+    if (direction.d, direction.parts) != (level.d, level.parts):
+        raise ValueError("direction was certified for a different level")
+
+
+# -- product germs: one coarse block at a time ------------------------------
+
+
+def _product_terms(germ: SmoothGerm, level: BlockProfile):
+    """The germ's terms as (coef, one factor table per coarse block), or
+    None unless every factor pairs lambda with a coweight of (base, level).
+
+    The table of a block of size p has p + 1 entries: entry i holds the
+    factors on the coweight of inner boundary i, in term order, and the
+    outer boundaries 0 and p carry none.
+    """
+    slots = [(b, i) for b, p in enumerate(level.parts) for i in range(1, p)]
+    coweights = simple_data(base_profile(level.d, level.r), level).coweights
+    where = dict(zip(coweights, slots, strict=True))
+    terms = []
+    for coef, factors in germ.terms:
+        tables = [[()] * (p + 1) for p in level.parts]
+        for f in factors:
+            b, i = where.get(tuple(f.form), (None, None))
+            if b is None:
+                return None
+            tables[b][i] += (f,)
+        terms.append((coef, tables))
+    return terms
+
+
+def _jet_sum(jets) -> Jet:
+    total = Jet.polynomial({})
+    for jet in jets:
+        total = total + jet
+    return total
+
+
+def _symmetrized_block(direction: GenericDirection, start: int, at) -> Jet:
+    """Weyl-symmetrized line jet of the coarse block of p inner blocks
+    that begins at inner block `start`.
+
+    In an ordering w of the block, the coweight of boundary i pairs w lam
+    through the set S of the first i inner blocks only, and theta is the
+    product of consecutive gaps.  So with T_S the line jet of the
+    boundary-|S| factors along any w that puts S first, the sum over the
+    orderings ending in m is F(S + {m}, m) = T_S * sum over l in S of
+    F(S, l) / (v_l - v_m) (Held-Karp): p * 2^p jet products instead of
+    p! * p line jets.
+    """
+    d, lam0 = direction.d, direction.vector
+    p = len(at) - 1
+    values = direction.values[start:start + p]
+    outside = tuple(range(start)), tuple(range(start + p, len(direction.values)))
+    inv_gap = [[1 / to_mpf(values[l] - values[m]) if l != m else None
+                for m in range(p)] for l in range(p)]
+    one = Jet.polynomial({0: 1})
+    layer = {1 << m: {m: one} for m in range(p)}
+    for size in range(1, p):
+        boundary = SmoothGerm.product(at[size])
+        grown: dict[int, dict[int, Jet]] = {}
+        for S, ends in layer.items():
+            first = sorted(ends)
+            rest = [m for m in range(p) if not S >> m & 1]
+            sigma = outside[0] + tuple(start + m for m in first + rest) + outside[1]
+            tower = boundary.line_jet(permute_blocks(d, sigma, lam0), p)
+            for m in rest:
+                link = _jet_sum(F.scale(inv_gap[l][m]) for l, F in ends.items())
+                grown.setdefault(S | 1 << m, {})[m] = link * tower
+        layer = grown
+    (ends,) = layer.values()
+    covol = sqrt_fraction(Q(d * p, d ** p))
+    return _jet_sum(ends.values()).scale(covol / factorial(p)).truncate(p)
+
+
+def _alternating_block(direction: GenericDirection, start: int, at,
+                       lower: bool) -> Jet:
+    """Alternating sum over the compositions of the coarse block of p inner
+    blocks that begins at inner block `start`, as a chain over the
+    P-intervals [s, e) of the block.
+
+    The factors of the boundaries in (s, e] pair the projection of lam
+    through the interval alone: the upper part vanishes on the other
+    intervals, and the lower part keeps the prefix sums of lam at every
+    P-boundary.  So they are the line jet along the projection on the
+    level P_I that merges [s, e) only.  Hat theta, the covolumes and the
+    signs are products over the intervals, and theta^level_P couples
+    adjacent intervals through the gap of their means.  With one state
+    per last interval that is O(p^3) jet operations instead of 2^(p-1)
+    line jets.
+    """
+    d, lam0 = direction.d, direction.vector
+    r = len(direction.values)
+    p = len(at) - 1
+    base = base_profile(d, r)
+    prefix = list(accumulate(direction.values[start:start + p], initial=Q(0)))
+    means: dict[tuple[int, int], Fraction] = {}
+    chain: dict[tuple[int, int], Jet] = {}
+    for e in range(1, p + 1):
+        for s in range(e):
+            size = e - s
+            merged = BlockProfile(d, (1,) * (start + s) + (size,)
+                                  + (1,) * (r - start - e))
+            upper, low_part = project(lam0, merged)
+            factors = tuple(f for i in range(s + 1, e + 1) for f in at[i])
+            jet = SmoothGerm.product(factors).line_jet(
+                low_part if lower else upper, p)
+            # the interval's share of both covolumes: hat theta of P_I and
+            # the 1/(d * size) of the theta^level_P Gram determinant
+            hat = hat_theta_factor(base, merged)
+            weight = (sqrt_fraction(hat.gram_det / (d * size))
+                      / to_mpf(hat.rational_part(lam0)))
+            if lower and size % 2 == 0:
+                weight = -weight  # epsilon(P_0, P), one interval at a time
+            mean = (prefix[e] - prefix[s]) / size
+            if s:
+                # epsilon(P, level) gives each upper link a sign
+                jet = jet * _jet_sum(
+                    chain[t, s].scale(1 / to_mpf(
+                        means[t, s] - mean if lower else mean - means[t, s]))
+                    for t in range(s))
+            means[s, e] = mean
+            chain[s, e] = jet.scale(weight)
+    block = _jet_sum(chain[s, p] for s in range(p))
+    return block.scale(sqrt_fraction(Q(d * p))).truncate(p)
+
+
+def _over_blocks(terms, direction: GenericDirection, block_jet, route: str,
+                 checked: bool = True) -> RouteValue:
+    """Sum over the terms of the product over the coarse blocks of
+    coefficient p - 1 of each block jet.  When checked, the lower
+    coefficients of every block jet must cancel (`_read_off`), and the
+    largest block residual is reported."""
+    value, residual = mp.mpf(0), mp.mpf(0)
+    for coef, tables in terms:
+        prod = to_mpf(coef)
+        start = 0
+        for p, at in zip(direction.parts, tables):
+            if p > 1:  # a lone inner block has no coweight: value 1
+                jet = block_jet(direction, start, at)
+                if checked:
+                    block = _read_off(jet, p - 1, route)
+                    prod *= block.value
+                    residual = max(residual, block.residual)
+                else:
+                    prod *= jet.coeff(p - 1)
+            start += p
+        value += prod
+    return RouteValue(value, residual, route)
+
+
+# -- the enumerations: oracles, and the path of germs without product form --
+
+
+def _alternating_sum(germ: SmoothGerm, level: BlockProfile,
+                     direction: GenericDirection, lower: bool) -> RouteValue:
     d = level.d
     base = base_profile(d, level.r)
-    if (direction.d, direction.parts) != (d, level.parts):
-        raise ValueError("direction was certified for a different level")
     k = _pole_order(level)
     lam0 = direction.vector
     total = Jet.polynomial({})
@@ -279,6 +450,60 @@ def _alternating(germ: SmoothGerm, level: BlockProfile,
         total = total + jet.scale(scalar)
     route = "alternating-lower" if lower else "alternating-upper"
     return _read_off(total, k, route)
+
+
+def _symmetrized_sum(germ: SmoothGerm, level: BlockProfile,
+                     direction: GenericDirection) -> RouteValue:
+    d = level.d
+    base = base_profile(d, level.r)
+    th0 = theta_factor(base, level)
+    k = th0.degree
+    if k != _pole_order(level):
+        raise RuntimeError(f"pairing product of degree {k}, pole order "
+                           f"{_pole_order(level)} at {level.parts}")
+    lam0 = direction.vector
+    covol = th0.covolume()
+    perms = list(block_permutations(level.parts))
+    total = Jet.polynomial({})
+    for sigma in perms:
+        wlam = permute_blocks(d, sigma, lam0)
+        rat = th0.rational_part(wlam)
+        jet = germ.line_jet(wlam, k + 1)
+        total = total + jet.scale(covol / to_mpf(rat))
+    total = total.scale(Q(1, len(perms)))
+    return _read_off(total, k, "symmetrized")
+
+
+def _derivative_sum(germ: SmoothGerm, level: BlockProfile,
+                    direction: GenericDirection) -> RouteValue:
+    d = level.d
+    base = base_profile(d, level.r)
+    k = _pole_order(level)
+    lam0 = direction.vector
+    acc = mp.mpf(0)
+    for P in levels_between(base, level):
+        hat = hat_theta_factor(base, P)
+        th = theta_factor(P, level)
+        rat = hat.rational_part(lam0) * th.rational_part(lam0)
+        sign = epsilon(P, level)
+        upper, _ = project(lam0, P)
+        jet = germ.line_jet(upper, k + 1)
+        acc += sign * hat.covolume() * th.covolume() / to_mpf(rat) * jet.coeff(k)
+    return RouteValue(acc, mp.mpf(0), "derivative")
+
+
+# -- the routes ---------------------------------------------------------------
+
+
+def _alternating(germ: SmoothGerm, level: BlockProfile,
+                 direction: GenericDirection, lower: bool) -> RouteValue:
+    _check_direction(direction, level)
+    terms = _product_terms(germ, level)
+    if terms is None:
+        return _alternating_sum(germ, level, direction, lower)
+    route = "alternating-lower" if lower else "alternating-upper"
+    return _over_blocks(terms, direction,
+                        partial(_alternating_block, lower=lower), route)
 
 
 def tilde_c(germ: SmoothGerm, level: BlockProfile,
@@ -299,45 +524,21 @@ def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
                       direction: GenericDirection) -> RouteValue:
     """Limit at 0 of the Weyl average of phi(w lam) over the permuted
     pairing product."""
-    d = level.d
-    base = base_profile(d, level.r)
-    if (direction.d, direction.parts) != (d, level.parts):
-        raise ValueError("direction was certified for a different level")
-    th0 = theta_factor(base, level)
-    k = th0.degree
-    if k != _pole_order(level):
-        raise RuntimeError(f"pairing product of degree {k}, pole order "
-                           f"{_pole_order(level)} at {level.parts}")
-    lam0 = direction.vector
-    covol = th0.covolume()
-    perms = list(block_permutations(level.parts))
-    total = Jet.polynomial({})
-    for sigma in perms:
-        wlam = permute_blocks(d, sigma, lam0)
-        rat = th0.rational_part(wlam)
-        jet = germ.line_jet(wlam, k + 1)
-        total = total + jet.scale(covol / to_mpf(rat))
-    total = total.scale(Q(1, len(perms)))
-    return _read_off(total, k, "symmetrized")
+    _check_direction(direction, level)
+    terms = _product_terms(germ, level)
+    if terms is None:
+        return _symmetrized_sum(germ, level, direction)
+    return _over_blocks(terms, direction, _symmetrized_block, "symmetrized")
 
 
 def arthur_derivative_value(germ: SmoothGerm, level: BlockProfile,
                             direction: GenericDirection) -> RouteValue:
     """The k-th derivative formula at one generic point: no limit and
     no cancellation, hence no residual."""
-    d = level.d
-    base = base_profile(d, level.r)
-    if (direction.d, direction.parts) != (d, level.parts):
-        raise ValueError("direction was certified for a different level")
-    k = _pole_order(level)
-    lam0 = direction.vector
-    acc = mp.mpf(0)
-    for P in levels_between(base, level):
-        hat = hat_theta_factor(base, P)
-        th = theta_factor(P, level)
-        rat = hat.rational_part(lam0) * th.rational_part(lam0)
-        sign = epsilon(P, level)
-        upper, _ = project(lam0, P)
-        jet = germ.line_jet(upper, k + 1)
-        acc += sign * hat.covolume() * th.covolume() / to_mpf(rat) * jet.coeff(k)
-    return RouteValue(acc, mp.mpf(0), "derivative")
+    _check_direction(direction, level)
+    terms = _product_terms(germ, level)
+    if terms is None:
+        return _derivative_sum(germ, level, direction)
+    return _over_blocks(terms, direction,
+                        partial(_alternating_block, lower=False),
+                        "derivative", checked=False)

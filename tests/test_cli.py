@@ -168,7 +168,7 @@ def test_volume_table(capsys):
 
 SUITE_RANKS = [("covolumes", "4"), ("cp-identity", "3"),
                ("prolongement4", "3"), ("induction-oracle", "3"),
-               ("routes", "2")]
+               ("routes", "2"), ("unit-expansion", "3")]
 
 
 @pytest.mark.parametrize("suite,n,prec", [
@@ -209,6 +209,8 @@ def test_contradictory_shape_exits_nonzero(capsys):
     ("zeta", "--eval", "ztilde-s", "--at", "1", "--d", "0"),
     ("zeta", "--eval", "xi", "--at", "2", "--order", "0"),
     ("zeta", "--eval", "xi", "--at", "2", "--order", "-2"),
+    ("verify", "routes", "--n", "0"),
+    ("verify", "cp-identity", "--n", "-3"),
 ])
 def test_nonpositive_shape_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -10,6 +10,7 @@ import mpmath as mp
 import pytest
 
 from glcoeff import coefficients
+from glcoeff import gmfamily as gm
 from glcoeff.coefficients import (J_o_unit, J_P_unit, J_tilde_unit,
                                   RouteDisagreementError, a_coefficient,
                                   a_tilde, expansion, phi_for_L,
@@ -18,8 +19,9 @@ from glcoeff.coefficients import (J_o_unit, J_P_unit, J_tilde_unit,
 from glcoeff.gmfamily import (RouteValue, SmoothGerm, draw_generic_direction,
                               symmetrized_value)
 from glcoeff.jets import LinearFactor
-from glcoeff.numeric import to_mpf, working
-from glcoeff.orbits import LeviDatum, Partition, enumerate_inducing_pairs
+from glcoeff.numeric import to_mpf, tolerance, working
+from glcoeff.orbits import (LeviDatum, Partition, enumerate_inducing_pairs,
+                            partitions)
 from glcoeff.rootdata import (BlockProfile, base_profile, enumerate_parabolics,
                               group_profile, pairing, project, simple_data)
 from glcoeff.zeta import (NumberFieldData, PlaceSet, ProviderError,
@@ -307,3 +309,87 @@ def test_file_backed_field_failure_propagates(gaussian_field_file):
     with working(64):
         with pytest.raises(ProviderError):
             a_coefficient(group_profile(1, 2), field=field)
+
+
+def _enumeration_refused(*args, **kwargs):
+    raise AssertionError("an enumeration ran on a product germ")
+
+
+def test_coefficient_paths_never_enumerate(monkeypatch):
+    """The germs of a_coefficient, J_o_unit and expansion are product
+    germs, so no route falls back to a Weyl or parabolic enumeration."""
+    for name in ("_symmetrized_sum", "_alternating_sum", "_derivative_sum"):
+        monkeypatch.setattr(gm, name, _enumeration_refused)
+    with working(128):
+        a_coefficient(BlockProfile(2, (2, 1)), PlaceSet.parse("2"))
+        J_o_unit(1, 4)
+        exp = expansion(1, 4, PlaceSet.parse("3"))
+    assert len(exp.terms) == 5
+
+
+@pytest.mark.parametrize("d,small,extra", [(1, "2", "3"), (2, "", "2")])
+def test_correction_germ_takes_the_block_routes(monkeypatch, d, small, extra):
+    """Two factors per coweight (tower ratio times place correction) still
+    form a product germ, and its block routes reproduce the coefficient
+    with the larger place set."""
+    level = group_profile(d, 3)
+    S1 = PlaceSet.parse(small + "," + extra if small else extra)
+    with working(192):
+        direct = a_coefficient(level, S1).a_value
+
+        def correction_provider(order):
+            jet = z_s_local_jet(d, PlaceSet.parse(extra), d, order + 2)
+            jet = jet.scale(1 / jet.coeff(0))
+            return jet.reciprocal(order + 1)
+
+        coweights = simple_data(base_profile(d, 3), level).coweights
+        correction = SmoothGerm(
+            ((Q(1), tuple(LinearFactor(correction_provider, w, Q(1, d))
+                          for w in coweights)),))
+        germ = phi_for_L(level, PlaceSet.parse(small)) * correction
+        ((_, (table,)),) = gm._product_terms(germ, level)
+        assert [len(factors) for factors in table] == [0, 2, 2, 0]
+        for name in ("_symmetrized_sum", "_alternating_sum",
+                     "_derivative_sum"):
+            monkeypatch.setattr(gm, name, _enumeration_refused)
+        direction = draw_generic_direction(d, level.parts, 0)
+        via_germ = symmetrized_value(germ, level, direction).value
+        assert abs(direct - via_germ) < mp.mpf("1e-40")
+
+
+@pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 7)
+                                 for r in range(1, 6 // d + 1)])
+def test_block_routes_match_their_enumerations(d, r):
+    """On every level of (r^d) with d*r <= 6 and several place sets, each
+    route split over the coarse blocks agrees with the Weyl or parabolic
+    enumeration it replaces."""
+    worst = mp.mpf(0)
+    with working(256):
+        for mu in partitions(r):
+            level = BlockProfile(d, mu)
+            direction = draw_generic_direction(d, mu, 0)
+            for label in ("", "2", "2,3,inf"):
+                germ = phi_for_L(level, PlaceSet.parse(label))
+                pairs = (
+                    (gm.symmetrized_value(germ, level, direction),
+                     gm._symmetrized_sum(germ, level, direction)),
+                    (gm.tilde_c(germ, level, direction),
+                     gm._alternating_sum(germ, level, direction, lower=False)),
+                    (gm.c(germ, level, direction),
+                     gm._alternating_sum(germ, level, direction, lower=True)),
+                    (gm.arthur_derivative_value(germ, level, direction),
+                     gm._derivative_sum(germ, level, direction)),
+                )
+                for fast, slow in pairs:
+                    gap = abs(fast.value - slow.value) / max(1, abs(slow.value))
+                    worst = max(worst, gap)
+        assert worst < tolerance()
+    print(f"\nblock routes vs enumerations, (d, r) = ({d}, {r}): "
+          f"worst relative gap {mp.nstr(worst, 3)}")
+
+
+def test_four_routes_agree_on_gl8():
+    with working(256):
+        res = a_coefficient(group_profile(1, 8))
+        assert len(res.diagnostics["routes"]) == 4
+        assert res.diagnostics["max_disagreement"] < tolerance()

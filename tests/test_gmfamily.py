@@ -20,8 +20,9 @@ from glcoeff.gmfamily import (
     tilde_c,
 )
 from glcoeff.jets import CancellationError
-from glcoeff.numeric import working
-from glcoeff.rootdata import BlockProfile, block_permutations
+from glcoeff.numeric import tolerance, working
+from glcoeff.rootdata import (BlockProfile, base_profile, block_permutations,
+                              simple_data)
 
 Q = Fraction
 
@@ -256,3 +257,95 @@ def test_unachievable_tolerance_raises(monkeypatch):
         monkeypatch.setattr(gm, "tolerance", lambda: mp.mpf(0))
         with pytest.raises(CancellationError):
             tilde_c(germ, level, direction)
+
+
+def random_product_germ(rng, level):
+    """A random germ in product form: every factor pairs lambda with a
+    coweight of (base, level), some coweights more than once, some not at
+    all, over two terms."""
+    coweights = simple_data(base_profile(level.d, level.r), level).coweights
+
+    def atom():
+        form = rng.choice(coweights)
+        kind = rng.randrange(3)
+        if kind == 0:
+            return SmoothGerm.exp_pairing(form, Q(rng.randint(-3, 3), 2))
+        if kind == 1:
+            return SmoothGerm.linear(form, shift=rng.randint(1, 4))
+        return SmoothGerm.power(form, rng.randint(0, 2))
+
+    germ = SmoothGerm.constant(Q(rng.randint(1, 5), 3))
+    for _ in range(rng.randint(1, 2 * len(coweights))):
+        germ = germ * atom()
+    return germ + atom().scaled(Q(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+ORACLES = {
+    symmetrized_value: lambda g, lv, dr: gm._symmetrized_sum(g, lv, dr),
+    tilde_c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, lower=False),
+    c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, lower=True),
+    arthur_derivative_value: lambda g, lv, dr: gm._derivative_sum(g, lv, dr),
+}
+
+
+@pytest.mark.parametrize(
+    "d,parts",
+    [(1, (2,)), (1, (4,)), (2, (3,)), (1, (3, 2)), (1, (2, 1, 3)), (2, (2, 2)),
+     (3, (1, 2))],
+)
+def test_block_routes_match_their_enumerations_on_product_germs(d, parts):
+    """Each route split over the coarse blocks agrees with the permutation
+    or composition sum it replaces, on random germs in product form."""
+    rng = random.Random(f"{d}:{parts}:product")
+    level = BlockProfile(d, parts)
+    direction = draw_generic_direction(d, parts, seed=3)
+    with working(160):
+        for _ in range(3):
+            germ = random_product_germ(rng, level)
+            assert gm._product_terms(germ, level) is not None
+            for route, oracle in ORACLES.items():
+                fast = route(germ, level, direction).value
+                slow = oracle(germ, level, direction).value
+                assert abs(fast - slow) < tolerance() * max(1, abs(slow)), route
+
+
+def test_germ_off_the_coweights_takes_the_enumeration(monkeypatch):
+    """One factor on a root instead of a coweight sends every route to
+    its enumeration, and the routes still agree."""
+    level = BlockProfile(1, (3, 2))
+    coweights = simple_data(base_profile(1, 5), level).coweights
+    germ = SmoothGerm.product(())
+    for w in coweights:
+        germ = germ * SmoothGerm.exp_pairing(w)
+    germ = germ * SmoothGerm.linear((Q(1), Q(-1), Q(0), Q(0), Q(0)), shift=2)
+    assert gm._product_terms(germ, level) is None
+    called = []
+    for name in ("_symmetrized_sum", "_alternating_sum", "_derivative_sum"):
+        original = getattr(gm, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(gm, name, spy)
+    direction = draw_generic_direction(1, (3, 2), seed=2)
+    with working(160):
+        values = [route(germ, level, direction).value for route in ROUTES]
+        assert spread(values) < tolerance()
+    assert sorted(called) == ["_alternating_sum", "_alternating_sum",
+                              "_derivative_sum", "_symmetrized_sum"]
+
+
+def test_block_routes_check_cancellation(monkeypatch):
+    """Every block jet of a product germ must cancel below its pole
+    order; the derivative route divides by nothing and never checks."""
+    level = BlockProfile(1, (3, 2))
+    germ = random_product_germ(random.Random(4), level)
+    direction = draw_generic_direction(1, (3, 2), seed=1)
+    with working(128):
+        assert tilde_c(germ, level, direction).residual > 0
+        monkeypatch.setattr(gm, "tolerance", lambda: mp.mpf(0))
+        for route in (symmetrized_value, tilde_c, c):
+            with pytest.raises(CancellationError):
+                route(germ, level, direction)
+        assert arthur_derivative_value(germ, level, direction).residual == 0
