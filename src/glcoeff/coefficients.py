@@ -466,11 +466,12 @@ def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
     """
     field = _resolve_field(field)
     pairs = enumerate_inducing_pairs(d, r)
-    if jobs > 1:
+    workers = min(jobs, len(pairs))  # a fork pool starts every worker at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         args = [(pair, places, field, seed, requested_prec())
                 for pair in pairs]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             terms = tuple(pool.map(_term_worker, args))
     else:
         terms = tuple(_term_for_pair(pair, places, field, seed)

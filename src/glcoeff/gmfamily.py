@@ -38,7 +38,10 @@ the block routes are tested against.
 
 Directions are never trusted to be generic: they are drawn
 deterministically from a seed and certified by exact rational
-non-vanishing checks, with the certificate kept on the object.
+non-vanishing checks, with the certificate kept on the object.  Every
+pairing product a route divides by factors into gaps inside one coarse
+block, of two values or of the means of two adjacent intervals, so the
+certificate is those O(r^3) gaps, not the products of 2^(r-1) levels.
 """
 from __future__ import annotations
 
@@ -174,12 +177,21 @@ def levels_between(base: BlockProfile, level: BlockProfile):
         yield BlockProfile(level.d, parts)
 
 
+def _mean_gaps(values) -> dict[tuple[int, int, int], Fraction]:
+    """mean(values[s:i]) - mean(values[i:e]) for every s < i < e <= len(values)."""
+    prefix = list(accumulate(values, initial=Q(0)))
+    return {(s, i, e): ((prefix[i] - prefix[s]) / (i - s)
+                        - (prefix[e] - prefix[i]) / (e - i))
+            for s, i, e in combinations(range(len(values) + 1), 3)}
+
+
 @dataclass(frozen=True)
 class GenericDirection:
     """A certified direction: one rational value per inner block.
 
-    certificate holds every exact pairing the evaluation routes divide
-    by, each verified nonzero at draw time.
+    certificate holds every exact factor the evaluation routes divide
+    by, each verified nonzero at draw time: the value gaps and the
+    interval-mean gaps inside each coarse block (see certify_direction).
     """
 
     d: int
@@ -196,36 +208,34 @@ def certify_direction(d: int, parts: tuple[int, ...],
                       values: tuple[Fraction, ...]):
     """Exact genericity certificate for the given level, or raise.
 
-    Checks, in order: pairwise distinct values within each coarse block
-    (the symmetrized sum divides by every permuted pairing product), and
-    for every intermediate profile the two pairing products appearing in
-    the alternating sums.
+    Every pairing a route divides by factors into gaps inside one coarse
+    block of values v: the symmetrized sum's v_i - v_j, and the alternating
+    sums' mean(v[s:i]) - mean(v[i:e]) for s < i < e.  In a P-interval
+    [s, e) hat theta pairs boundary i to d (i - s)(e - i)/(e - s) times
+    that gap, and theta^level_P pairs adjacent P-blocks [s, i), [i, e) to
+    it.  So the C(p, 2) + C(p + 1, 3) gaps of each block of p accept
+    exactly the draws the pairing products of all 2^(r-1) levels accept.
     """
-    r = sum(parts)
-    if len(values) != r:
+    if len(values) != sum(parts):
         raise ValueError("need one value per inner block")
-    level = BlockProfile(d, parts)
-    base = base_profile(d, r)
-    vec = tuple(v for v in values for _ in range(d))
+    BlockProfile(d, parts)  # rejects an invalid level
     entries: list[tuple[str, Fraction]] = []
     off = 0
     for b, p in enumerate(parts):
-        for i, j in combinations(range(off, off + p), 2):
-            diff = values[i] - values[j]
+        block = values[off:off + p]
+        for i, j in combinations(range(p), 2):
+            diff = block[i] - block[j]
             if diff == 0:
+                raise NotGenericError(f"values {off + i} and {off + j} "
+                                      f"collide inside coarse block {b}")
+            entries.append((f"gap[{off + i},{off + j}]", diff))
+        for (s, i, e), gap in _mean_gaps(block).items():
+            if gap == 0:
                 raise NotGenericError(
-                    f"values {i} and {j} collide inside coarse block {b}")
-            entries.append((f"gap[{i},{j}]", diff))
+                    f"means of [{off + s},{off + i}) and [{off + i},{off + e}) "
+                    f"coincide inside coarse block {b}")
+            entries.append((f"mean[{off + s},{off + i},{off + e}]", gap))
         off += p
-    for P in levels_between(base, level):
-        rat_hat = hat_theta_factor(base, P).rational_part(vec)
-        if rat_hat == 0:
-            raise NotGenericError(f"dual pairing product vanishes at {P.parts}")
-        entries.append((f"dual{P.parts}", rat_hat))
-        rat_th = theta_factor(P, level).rational_part(vec)
-        if rat_th == 0:
-            raise NotGenericError(f"pairing product vanishes at {P.parts}")
-        entries.append((f"prim{P.parts}", rat_th))
     return tuple(entries)
 
 
@@ -369,9 +379,7 @@ def _alternating_block(direction: GenericDirection, start: int, at,
     d, lam0 = direction.d, direction.vector
     r = len(direction.values)
     p = len(at) - 1
-    base = base_profile(d, r)
-    prefix = list(accumulate(direction.values[start:start + p], initial=Q(0)))
-    means: dict[tuple[int, int], Fraction] = {}
+    gaps = _mean_gaps(direction.values[start:start + p])
     chain: dict[tuple[int, int], Jet] = {}
     for e in range(1, p + 1):
         for s in range(e):
@@ -382,21 +390,21 @@ def _alternating_block(direction: GenericDirection, start: int, at,
             factors = tuple(f for i in range(s + 1, e + 1) for f in at[i])
             jet = SmoothGerm.product(factors).line_jet(
                 low_part if lower else upper, p)
-            # the interval's share of both covolumes: hat theta of P_I and
-            # the 1/(d * size) of the theta^level_P Gram determinant
-            hat = hat_theta_factor(base, merged)
-            weight = (sqrt_fraction(hat.gram_det / (d * size))
-                      / to_mpf(hat.rational_part(lam0)))
+            # hat theta of P_I (Gram determinant d^size / (d * size), see
+            # certify_direction for its pairings) times the interval's share
+            # 1/(d * size) of the theta^level_P Gram determinant
+            hat = Q(1)
+            for i in range(s + 1, e):
+                hat *= d * (i - s) * (e - i) * gaps[s, i, e] / size
+            weight = sqrt_fraction(Q(d ** size, (d * size) ** 2)) / to_mpf(hat)
             if lower and size % 2 == 0:
                 weight = -weight  # epsilon(P_0, P), one interval at a time
-            mean = (prefix[e] - prefix[s]) / size
             if s:
                 # epsilon(P, level) gives each upper link a sign
                 jet = jet * _jet_sum(
                     chain[t, s].scale(1 / to_mpf(
-                        means[t, s] - mean if lower else mean - means[t, s]))
+                        gaps[t, s, e] if lower else -gaps[t, s, e]))
                     for t in range(s))
-            means[s, e] = mean
             chain[s, e] = jet.scale(weight)
     block = _jet_sum(chain[s, p] for s in range(p))
     return block.scale(sqrt_fraction(Q(d * p))).truncate(p)

@@ -55,10 +55,6 @@ class Jet:
         return cls.polynomial({0: c})
 
     @classmethod
-    def monomial(cls, c, k: int) -> "Jet":
-        return cls.polynomial({k: c})
-
-    @classmethod
     def polynomial(cls, coeffs: dict[int, object]) -> "Jet":
         """Exactly-known finite Laurent polynomial {order: coefficient}."""
         if not coeffs:
@@ -169,14 +165,6 @@ class Jet:
                     acc += a[j] * out[k - j]
             out[k] = -inv0 * acc
         return Jet(-self.low, tuple(out), -self.low + order)
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self.scale(1 / to_mpf(other))
-        if other.trunc == EXACT and self.trunc == EXACT:
-            raise ValueError("dividing two exact jets needs reciprocal(order=...)")
-        order = (self.trunc - self.low) if self.trunc != EXACT else None
-        return self * other.reciprocal(order)
 
     def evaluate(self, t):
         t = to_mpf(t)

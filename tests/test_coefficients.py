@@ -4,6 +4,7 @@ Closed forms for GL(2), route cross-checks, the unit-function jets, the
 pointwise continuation identity, and the consistency of the assembled
 expansion evaluated on the unit function.
 """
+import concurrent.futures
 from fractions import Fraction as Q
 
 import mpmath as mp
@@ -325,6 +326,48 @@ def test_coefficient_paths_never_enumerate(monkeypatch):
         J_o_unit(1, 4)
         exp = expansion(1, 4, PlaceSet.parse("3"))
     assert len(exp.terms) == 5
+
+
+def _theta_refused(*args, **kwargs):
+    raise AssertionError("a theta factor or level enumeration was built")
+
+
+def test_coefficient_paths_build_no_theta_factor(monkeypatch):
+    """The direction certificate and the block routes read value and
+    interval-mean gaps only: no theta factor, hat theta factor or
+    intermediate level is built on the coefficient path."""
+    for name in ("hat_theta_factor", "theta_factor", "levels_between"):
+        monkeypatch.setattr(gm, name, _theta_refused)
+    with working(128):
+        for level in (BlockProfile(1, (4,)), BlockProfile(1, (2, 2)),
+                      BlockProfile(2, (3,))):
+            res = a_coefficient(level, PlaceSet.parse("2"))
+            assert res.diagnostics["max_disagreement"] < tolerance()
+
+
+def test_pool_starts_no_more_workers_than_terms(monkeypatch):
+    """A fork pool starts all of its workers up front, so expansion asks
+    for at most one per term."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    with working(128):
+        exp = expansion(1, 2, jobs=64)
+    assert started == [2]
+    assert len(exp.terms) == 2
 
 
 @pytest.mark.parametrize("d,small,extra", [(1, "2", "3"), (2, "", "2")])

@@ -3,6 +3,7 @@ certificates, and the structural invariants that tie them together."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import pytest
@@ -16,13 +17,15 @@ from glcoeff.gmfamily import (
     c,
     certify_direction,
     draw_generic_direction,
+    levels_between,
     symmetrized_value,
     tilde_c,
 )
 from glcoeff.jets import CancellationError
 from glcoeff.numeric import tolerance, working
 from glcoeff.rootdata import (BlockProfile, base_profile, block_permutations,
-                              simple_data)
+                              compositions, hat_theta_factor, simple_data,
+                              theta_factor)
 
 Q = Fraction
 
@@ -230,6 +233,58 @@ def test_colliding_block_values_are_rejected():
         certify_direction(2, (2,), (Q(5), Q(5)))
     # distinct within each coarse block is fine even if blocks repeat a value
     certify_direction(1, (2, 2), (Q(1), Q(2), Q(1), Q(2)))
+
+
+def _level_products_nonzero(d, parts, values):
+    """The certificate as the alternating enumerations state it: distinct
+    values within each coarse block, and a nonzero hat theta and theta
+    pairing product at every intermediate level."""
+    level, base = BlockProfile(d, parts), base_profile(d, sum(parts))
+    vec = tuple(v for v in values for _ in range(d))
+    off = 0
+    for p in parts:
+        block = values[off:off + p]
+        if len(set(block)) < p:
+            return False
+        off += p
+    return all(hat_theta_factor(base, P).rational_part(vec)
+               * theta_factor(P, level).rational_part(vec) != 0
+               for P in levels_between(base, level))
+
+
+def test_gap_certificate_matches_level_products():
+    """On every composition of r <= 6, with values from a small range so
+    that coincident values and interval means are common, the gap
+    certificate accepts exactly the draws the level products accept."""
+    rng = random.Random(20261018)
+    rejected = accepted = 0
+    for d in (1, 2):
+        for r in range(1, 7):
+            for parts in compositions(r):
+                for _ in range(12):
+                    values = tuple(Q(rng.randint(-3, 3), rng.randint(1, 2))
+                                   for _ in range(r))
+                    try:
+                        certify_direction(d, parts, values)
+                        passed = True
+                    except NotGenericError:
+                        passed = False
+                    assert passed == _level_products_nonzero(d, parts, values), \
+                        (d, parts, values)
+                    rejected += not passed
+                    accepted += passed
+    assert rejected > 0 and accepted > 0
+    print(f"\ngap certificate: {accepted} accepted, {rejected} rejected")
+
+
+@pytest.mark.parametrize("d,parts", [(1, (1,)), (1, (4,)), (2, (3, 2)),
+                                     (1, (2, 1, 3)), (3, (5,))])
+def test_certificate_has_value_and_mean_gaps_per_block(d, parts):
+    """Each coarse block of p inner blocks certifies its C(p, 2) value gaps
+    and its C(p + 1, 3) interval-mean gaps, whatever the other blocks."""
+    direction = draw_generic_direction(d, parts, seed=5)
+    assert len(direction.certificate) == sum(comb(p, 2) + comb(p + 1, 3)
+                                             for p in parts)
 
 
 def test_wrong_value_count_is_rejected():
