@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape(exp)
     exp.add_argument("--S", default="")
     exp.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for independent terms")
+                     help="worker processes, at most one per group size")
     _add_common(exp)
 
     zeta = sub.add_parser("zeta", help="zeta and tower jets")

@@ -1,9 +1,10 @@
 """Global coefficients of the fine expansion at block-regular nilpotent orbits.
 
-The payload of the package.  For a Levi given by a grouping of the r
-inner d-blocks, the coefficient is the limit at 0 of a Weyl-symmetrized
-product of partial zeta-tower jets; it is computed here through every
-route the germ engine offers and cross-checked before being reported.
+The payload of the package.  On the group GL(d*m) the coefficient is
+the limit at 0 of a Weyl-symmetrized product of partial zeta-tower jets,
+computed through every route the germ engine offers and cross-checked.
+A Levi grouping the r inner d-blocks into parts gets the product of the
+group coefficients of its parts, route by route.
 The module also evaluates the unit-function weighted integrals in
 closed form (as jets along certified lines), checks the analytic
 continuation identity that glues them, and assembles the full expansion
@@ -28,7 +29,7 @@ from .gmfamily import (GenericDirection, RouteValue, SmoothGerm,
                        symmetrized_value, tilde_c)
 from .jets import Jet, LinearFactor, div_by_monomial
 from .numeric import requested_prec, to_mpf, tolerance, working
-from .orbits import (InducingPair, LeviDatum, Partition, block_pair,
+from .orbits import (LeviDatum, Partition, block_pair,
                      enumerate_inducing_pairs, induce, partitions)
 from .rootdata import (BlockProfile, base_profile, group_profile,
                        hat_theta_factor, pairing, project, simple_data,
@@ -53,23 +54,32 @@ class RouteDisagreementError(ArithmeticError):
             f"{mp.nstr(tolerance, 8)} ({where})")
 
 
+ROUTE_NAMES = ("symmetrized", "alternating-upper", "alternating-lower",
+               "derivative")
+
+
+def _route_gap(values, where: str) -> mp.mpf:
+    """Largest relative gap between route values; a gap above the
+    tolerance raises RouteDisagreementError."""
+    scale = max(mp.mpf(1), max(abs(v) for v in values))
+    gap = max(abs(a - b) for a in values for b in values) / scale
+    if gap > tolerance():
+        raise RouteDisagreementError(gap, tolerance(), where)
+    return gap
+
+
 def _cross_checked_routes(germ: SmoothGerm, level: BlockProfile,
                           direction: GenericDirection,
-                          where: str) -> tuple[tuple[RouteValue, ...], mp.mpf]:
-    """All four routes, symmetrized first, and their largest relative gap;
-    a gap above the tolerance raises RouteDisagreementError."""
+                          where: str) -> tuple[RouteValue, ...]:
+    """All four routes, in ROUTE_NAMES order, checked by _route_gap."""
     routes = (
         symmetrized_value(germ, level, direction),
         tilde_c(germ, level, direction),
         c(germ, level, direction),
         arthur_derivative_value(germ, level, direction),
     )
-    values = [rv.value for rv in routes]
-    scale = max(mp.mpf(1), max(abs(v) for v in values))
-    disagreement = max(abs(a - b) for a in values for b in values) / scale
-    if disagreement > tolerance():
-        raise RouteDisagreementError(disagreement, tolerance(), where)
-    return routes, disagreement
+    _route_gap([rv.value for rv in routes], where)
+    return routes
 
 
 # ---------------------------------------------------------------------------
@@ -140,42 +150,87 @@ class CoefficientResult:
     diagnostics: dict
 
 
+def _levi_coefficient(level: BlockProfile, groups: dict[int, dict],
+                      places: PlaceSet, field: NumberFieldData,
+                      seed: int) -> CoefficientResult:
+    """The coefficient at `level` from the diagnostics of the group
+    coefficients a(GL(d*p)) of its parts: route by route the product over
+    the parts, a part of size 1 contributing exactly 1, with the largest
+    group residual.  The symmetrized product is reported."""
+    routes = dict.fromkeys(ROUTE_NAMES, mp.mpf(1))
+    residuals = dict.fromkeys(ROUTE_NAMES, mp.mpf(0))
+    for group in (groups[p] for p in level.parts if p > 1):
+        for name in ROUTE_NAMES:
+            routes[name] *= group["routes"][name]
+            residuals[name] = max(residuals[name], group["residuals"][name])
+    disagreement = _route_gap(list(routes.values()),
+                              f"level {level.parts}, S={places.label()}")
+    a_value = routes["symmetrized"]
+    pair = block_pair(level)
+    return CoefficientResult(
+        levi=pair.levi,
+        orbit=induce(pair.levi),
+        a_value=a_value,
+        a_tilde_value=vol_minimal_levi(level.d, level.r, field) * a_value,
+        weyl_weight=pair.weyl_weight,
+        places=places,
+        diagnostics={
+            "routes": routes,
+            "residuals": residuals,
+            "max_disagreement": disagreement,
+            "direction_seed": seed,
+            "requested_bits": requested_prec(),
+            "working_bits": mp.mp.prec,
+        },
+    )
+
+
+def _term_worker(args) -> dict:
+    (d, m, places, field, seed, prec) = args
+    with working(prec):
+        return a_coefficient(group_profile(d, m), places, field,
+                             seed).diagnostics
+
+
+def _group_coefficients(d: int, sizes, places: PlaceSet,
+                        field: NumberFieldData, seed: int,
+                        jobs: int = 1) -> dict[int, dict]:
+    """Diagnostics of a_coefficient on GL(d*m) for every distinct m > 1 in
+    sizes.  With jobs > 1 each m is one pool task, largest first."""
+    sizes = sorted({m for m in sizes if m > 1}, reverse=True)
+    workers = min(jobs, len(sizes))  # a fork pool starts every worker at once
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        args = [(d, m, places, field, seed, requested_prec()) for m in sizes]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return dict(zip(sizes, pool.map(_term_worker, args)))
+    return {m: a_coefficient(group_profile(d, m), places, field,
+                             seed).diagnostics for m in sizes}
+
+
 @working()
 def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
                   field: NumberFieldData | None = None,
                   seed: int = 0) -> CoefficientResult:
     """Coefficient for the Levi grouping the d-blocks per `level.parts`.
 
-    The symmetrized route supplies the reported value; the two
-    alternating routes and the derivative route are always run as well
-    and must agree within numeric.tolerance(), else RouteDisagreementError.
+    On a group level all four routes run and must agree within
+    numeric.tolerance(), else RouteDisagreementError; the symmetrized
+    route supplies the value.  On any other level each route value is
+    the product of the group values of the parts, held to the same
+    tolerance.
     """
     field = _resolve_field(field)
+    if len(level.parts) > 1 or level.r == 1:
+        groups = _group_coefficients(level.d, level.parts, places, field, seed)
+        return _levi_coefficient(level, groups, places, field, seed)
     germ = phi_for_L(level, places, field)
     direction = draw_generic_direction(level.d, level.parts, seed)
-    routes, disagreement = _cross_checked_routes(
-        germ, level, direction,
-        f"level {level.parts}, S={places.label()}")
-    a_value = routes[0].value
-    vol = vol_minimal_levi(level.d, level.r, field)
-    diagnostics = {
-        "routes": {rv.route: rv.value for rv in routes},
-        "residuals": {rv.route: rv.residual for rv in routes},
-        "max_disagreement": disagreement,
-        "direction_seed": seed,
-        "requested_bits": requested_prec(),
-        "working_bits": mp.mp.prec,
-    }
-    pair = block_pair(level)
-    return CoefficientResult(
-        levi=pair.levi,
-        orbit=induce(pair.levi),
-        a_value=a_value,
-        a_tilde_value=vol * a_value,
-        weyl_weight=pair.weyl_weight,
-        places=places,
-        diagnostics=diagnostics,
-    )
+    routes = _cross_checked_routes(germ, level, direction,
+                                   f"level {level.parts}, S={places.label()}")
+    group = {"routes": {rv.route: rv.value for rv in routes},
+             "residuals": {rv.route: rv.residual for rv in routes}}
+    return _levi_coefficient(level, {level.r: group}, places, field, seed)
 
 
 @working()
@@ -319,8 +374,8 @@ def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
                     for w in simple_data(base_profile(d, r)).coweights)
     germ = SmoothGerm(((Q(1), factors),), label=f"unit[{d},{r}]")
     direction = draw_generic_direction(d, (r,), seed)
-    (sym, *_), _ = _cross_checked_routes(germ, level, direction,
-                                         f"unit value ({d},{r})")
+    sym, *_ = _cross_checked_routes(germ, level, direction,
+                                    f"unit value ({d},{r})")
     const = _j_tilde_prefactor(d, r, field)
     return RouteValue(const * sym.value, sym.residual, "symmetrized")
 
@@ -392,6 +447,7 @@ def unit_expansion_residual(d: int, r: int, places: PlaceSet,
     field = _resolve_field(field)
     lhs = J_o_unit(d, r, field, seed).value
     local_value = z_s_local_jet(d, places, d, 1, field).coeff(0)
+    groups = _group_coefficients(d, range(2, r + 1), places, field, seed)
     acc = mp.mpf(0)
     for mu in partitions(r):
         mult: dict[int, int] = {}
@@ -400,7 +456,8 @@ def unit_expansion_residual(d: int, r: int, places: PlaceSet,
         class_weight = Q(1)
         for m_j in mult.values():
             class_weight /= factorial(m_j)
-        a_val = a_coefficient(BlockProfile(d, mu), places, field, seed).a_value
+        a_val = _levi_coefficient(BlockProfile(d, mu), groups, places, field,
+                                  seed).a_value
         psi = _coarse_family_value(d, mu, places, field, seed)
         acc += to_mpf(class_weight) * a_val * psi / local_value ** (r - 1)
     rhs = vol_minimal_levi(d, r, field) * acc
@@ -437,22 +494,6 @@ def _local_symbol(levi: LeviDatum, places: PlaceSet) -> str:
     return f"J_L^G[L={levi.parts}; o'=({orbit_label}); S={places.label()}]"
 
 
-def _term_for_pair(pair: InducingPair, places: PlaceSet,
-                   field: NumberFieldData, seed: int) -> ExpansionTerm:
-    return ExpansionTerm(
-        coefficient=a_coefficient(pair.profile, places, field, seed),
-        local_symbol=_local_symbol(pair.levi, places),
-        class_size=pair.class_size,
-        standard_levi_count=pair.standard_levi_count,
-    )
-
-
-def _term_worker(args) -> ExpansionTerm:
-    (pair, places, field, seed, prec) = args
-    with working(prec):
-        return _term_for_pair(pair, places, field, seed)
-
-
 @working()
 def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
               field: NumberFieldData | None = None, seed: int = 0,
@@ -460,22 +501,23 @@ def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
     """The fine expansion at the block-regular orbit as a formal object.
 
     One term per conjugacy class of inducing pairs, in the canonical
-    enumeration order.  With jobs > 1 the terms are computed in worker
-    processes; each term is independent and the assembly order is fixed,
-    so the output is identical to the serial run.
+    enumeration order.  Each coefficient is a product of the group
+    coefficients a(GL(d*m)), m = 2..r, computed once each; with jobs > 1
+    they are computed in worker processes, at most one per group size.
+    Each group value is independent, so the output is identical to the
+    serial run.
     """
     field = _resolve_field(field)
-    pairs = enumerate_inducing_pairs(d, r)
-    workers = min(jobs, len(pairs))  # a fork pool starts every worker at once
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        args = [(pair, places, field, seed, requested_prec())
-                for pair in pairs]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            terms = tuple(pool.map(_term_worker, args))
-    else:
-        terms = tuple(_term_for_pair(pair, places, field, seed)
-                      for pair in pairs)
+    groups = _group_coefficients(d, range(2, r + 1), places, field, seed, jobs)
+    terms = tuple(
+        ExpansionTerm(
+            coefficient=_levi_coefficient(pair.profile, groups, places, field,
+                                          seed),
+            local_symbol=_local_symbol(pair.levi, places),
+            class_size=pair.class_size,
+            standard_levi_count=pair.standard_levi_count,
+        )
+        for pair in enumerate_inducing_pairs(d, r))
     return FormalExpansion(
         d=d,
         r=r,

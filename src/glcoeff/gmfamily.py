@@ -20,21 +20,15 @@ derivative route reads coefficient k of the same upper alternating sum
 as tilde_c, so the two agree bit for bit.  The agreement of the routes
 is the main correctness instrument of the package.
 
-Product germs are evaluated one coarse block at a time.  A germ is in
-product form when every factor of every term pairs lambda with one of
-the coweights of (base, level), checked by exact equality of forms; the
-germs of the coefficient calculator are built that way.  The Weyl group,
-theta, hat theta, covolumes, signs and the intermediate levels all
-factor over the coarse blocks, so each route is a sum over terms of a
-product over blocks, and a block of p inner blocks has pole order p - 1:
-its jet is built to order p and its coefficient p - 1 is read off,
-cancellation checked.  Per block, the symmetrized route is a Held-Karp
-sum over (set of leading inner blocks, last block), p * 2^p jet
-products, and the alternating and derivative routes are a chain over
-the last P-interval, O(p^3) jet operations.  Every other germ goes
-through the enumerations over the Weyl group (p! per block) and over
-the 2^(r-1) intermediate levels; they are kept unchanged as the oracles
-the block routes are tested against.
+Product germs on the group take polynomial routes.  A germ is in product
+form when the level is the group and every factor of every term pairs
+lambda with one of its coweights, checked by exact equality of forms, as
+the coefficient germs are.  Then the symmetrized route is a Held-Karp sum
+over (set of leading inner blocks, last block), r * 2^r jet products, and
+the alternating and derivative routes are a chain over the last
+P-interval, O(r^3) jet operations.  Every other germ, those on a Levi
+level included, goes through the enumerations over the Weyl group and the
+2^(r-1) intermediate levels, kept as the oracles of the group routes.
 
 Directions are never trusted to be generic: they are drawn
 deterministically from a seed and certified by exact rational
@@ -278,7 +272,10 @@ def _pole_order(level: BlockProfile) -> int:
     return level.r - level.k
 
 
-def _read_off(total: Jet, k: int, route: str) -> RouteValue:
+def _read_off(total: Jet, k: int, route: str, checked: bool = True) -> RouteValue:
+    """Coefficient k of the summed jet, the k below it checked to cancel."""
+    if not checked:
+        return RouteValue(total.coeff(k), mp.mpf(0), route)
     analytic, residual = split_monomial(total, k)
     if residual > tolerance():
         raise CancellationError(residual, where=route)
@@ -290,29 +287,30 @@ def _check_direction(direction: GenericDirection, level: BlockProfile) -> None:
         raise ValueError("direction was certified for a different level")
 
 
-# -- product germs: one coarse block at a time ------------------------------
+# -- product germs on the group -----------------------------------------------
 
 
 def _product_terms(germ: SmoothGerm, level: BlockProfile):
-    """The germ's terms as (coef, one factor table per coarse block), or
-    None unless every factor pairs lambda with a coweight of (base, level).
+    """The germ's terms as (coef, factor table), or None unless the level
+    is the group and every factor pairs lambda with one of its coweights.
 
-    The table of a block of size p has p + 1 entries: entry i holds the
-    factors on the coweight of inner boundary i, in term order, and the
-    outer boundaries 0 and p carry none.
+    The table has r + 1 entries: entry i holds the factors on the coweight
+    of inner boundary i, in term order, and the outer boundaries 0 and r
+    carry none.
     """
-    slots = [(b, i) for b, p in enumerate(level.parts) for i in range(1, p)]
+    if len(level.parts) > 1:
+        return None
     coweights = simple_data(base_profile(level.d, level.r), level).coweights
-    where = dict(zip(coweights, slots, strict=True))
+    where = {w: i for i, w in enumerate(coweights, start=1)}
     terms = []
     for coef, factors in germ.terms:
-        tables = [[()] * (p + 1) for p in level.parts]
+        table = [()] * (level.r + 1)
         for f in factors:
-            b, i = where.get(tuple(f.form), (None, None))
-            if b is None:
+            i = where.get(tuple(f.form))
+            if i is None:
                 return None
-            tables[b][i] += (f,)
-        terms.append((coef, tables))
+            table[i] += (f,)
+        terms.append((coef, table))
     return terms
 
 
@@ -323,76 +321,69 @@ def _jet_sum(jets) -> Jet:
     return total
 
 
-def _symmetrized_block(direction: GenericDirection, start: int, at) -> Jet:
-    """Weyl-symmetrized line jet of the coarse block of p inner blocks
-    that begins at inner block `start`.
+def _symmetrized_block(direction: GenericDirection, at) -> Jet:
+    """Weyl-symmetrized line jet of the group's r inner blocks.
 
-    In an ordering w of the block, the coweight of boundary i pairs w lam
+    In an ordering w of the blocks, the coweight of boundary i pairs w lam
     through the set S of the first i inner blocks only, and theta is the
     product of consecutive gaps.  So with T_S the line jet of the
     boundary-|S| factors along any w that puts S first, the sum over the
     orderings ending in m is F(S + {m}, m) = T_S * sum over l in S of
-    F(S, l) / (v_l - v_m) (Held-Karp): p * 2^p jet products instead of
-    p! * p line jets.
+    F(S, l) / (v_l - v_m) (Held-Karp): r * 2^r jet products instead of
+    r! * r line jets.
     """
-    d, lam0 = direction.d, direction.vector
-    p = len(at) - 1
-    values = direction.values[start:start + p]
-    outside = tuple(range(start)), tuple(range(start + p, len(direction.values)))
+    d, lam0, values = direction.d, direction.vector, direction.values
+    r = len(values)
     inv_gap = [[1 / to_mpf(values[l] - values[m]) if l != m else None
-                for m in range(p)] for l in range(p)]
+                for m in range(r)] for l in range(r)]
     one = Jet.polynomial({0: 1})
-    layer = {1 << m: {m: one} for m in range(p)}
-    for size in range(1, p):
+    layer = {1 << m: {m: one} for m in range(r)}
+    for size in range(1, r):
         boundary = SmoothGerm.product(at[size])
         grown: dict[int, dict[int, Jet]] = {}
         for S, ends in layer.items():
             first = sorted(ends)
-            rest = [m for m in range(p) if not S >> m & 1]
-            sigma = outside[0] + tuple(start + m for m in first + rest) + outside[1]
-            tower = boundary.line_jet(permute_blocks(d, sigma, lam0), p)
+            rest = [m for m in range(r) if not S >> m & 1]
+            sigma = tuple(first + rest)
+            tower = boundary.line_jet(permute_blocks(d, sigma, lam0), r)
             for m in rest:
                 link = _jet_sum(F.scale(inv_gap[l][m]) for l, F in ends.items())
                 grown.setdefault(S | 1 << m, {})[m] = link * tower
         layer = grown
     (ends,) = layer.values()
-    covol = sqrt_fraction(Q(d * p, d ** p))
-    return _jet_sum(ends.values()).scale(covol / factorial(p)).truncate(p)
+    covol = sqrt_fraction(Q(d * r, d ** r))
+    return _jet_sum(ends.values()).scale(covol / factorial(r)).truncate(r)
 
 
-def _alternating_block(direction: GenericDirection, start: int, at,
-                       lower: bool) -> Jet:
-    """Alternating sum over the compositions of the coarse block of p inner
-    blocks that begins at inner block `start`, as a chain over the
-    P-intervals [s, e) of the block.
+def _alternating_block(direction: GenericDirection, at, lower: bool) -> Jet:
+    """Alternating sum over the compositions of the group's r inner blocks,
+    as a chain over the P-intervals [s, e).
 
     The factors of the boundaries in (s, e] pair the projection of lam
     through the interval alone: the upper part vanishes on the other
     intervals, and the lower part keeps the prefix sums of lam at every
     P-boundary.  So they are the line jet along the projection on the
     level P_I that merges [s, e) only.  Hat theta, the covolumes and the
-    signs are products over the intervals, and theta^level_P couples
+    signs are products over the intervals, and theta^group_P couples
     adjacent intervals through the gap of their means.  With one state
-    per last interval that is O(p^3) jet operations instead of 2^(p-1)
+    per last interval that is O(r^3) jet operations instead of 2^(r-1)
     line jets.
     """
     d, lam0 = direction.d, direction.vector
     r = len(direction.values)
-    p = len(at) - 1
-    gaps = _mean_gaps(direction.values[start:start + p])
+    gaps = _mean_gaps(direction.values)
     chain: dict[tuple[int, int], Jet] = {}
-    for e in range(1, p + 1):
+    for e in range(1, r + 1):
         for s in range(e):
             size = e - s
-            merged = BlockProfile(d, (1,) * (start + s) + (size,)
-                                  + (1,) * (r - start - e))
+            merged = BlockProfile(d, (1,) * s + (size,) + (1,) * (r - e))
             upper, low_part = project(lam0, merged)
             factors = tuple(f for i in range(s + 1, e + 1) for f in at[i])
             jet = SmoothGerm.product(factors).line_jet(
-                low_part if lower else upper, p)
+                low_part if lower else upper, r)
             # hat theta of P_I (Gram determinant d^size / (d * size), see
             # certify_direction for its pairings) times the interval's share
-            # 1/(d * size) of the theta^level_P Gram determinant
+            # 1/(d * size) of the theta^group_P Gram determinant
             hat = Q(1)
             for i in range(s + 1, e):
                 hat *= d * (i - s) * (e - i) * gaps[s, i, e] / size
@@ -400,45 +391,30 @@ def _alternating_block(direction: GenericDirection, start: int, at,
             if lower and size % 2 == 0:
                 weight = -weight  # epsilon(P_0, P), one interval at a time
             if s:
-                # epsilon(P, level) gives each upper link a sign
+                # epsilon(P, group) gives each upper link a sign
                 jet = jet * _jet_sum(
                     chain[t, s].scale(1 / to_mpf(
                         gaps[t, s, e] if lower else -gaps[t, s, e]))
                     for t in range(s))
             chain[s, e] = jet.scale(weight)
-    block = _jet_sum(chain[s, p] for s in range(p))
-    return block.scale(sqrt_fraction(Q(d * p))).truncate(p)
+    block = _jet_sum(chain[s, r] for s in range(r))
+    return block.scale(sqrt_fraction(Q(d * r))).truncate(r)
 
 
-def _over_blocks(terms, direction: GenericDirection, block_jet, route: str,
-                 checked: bool = True) -> RouteValue:
-    """Sum over the terms of the product over the coarse blocks of
-    coefficient p - 1 of each block jet.  When checked, the lower
-    coefficients of every block jet must cancel (`_read_off`), and the
-    largest block residual is reported."""
-    value, residual = mp.mpf(0), mp.mpf(0)
-    for coef, tables in terms:
-        prod = to_mpf(coef)
-        start = 0
-        for p, at in zip(direction.parts, tables):
-            if p > 1:  # a lone inner block has no coweight: value 1
-                jet = block_jet(direction, start, at)
-                if checked:
-                    block = _read_off(jet, p - 1, route)
-                    prod *= block.value
-                    residual = max(residual, block.residual)
-                else:
-                    prod *= jet.coeff(p - 1)
-            start += p
-        value += prod
-    return RouteValue(value, residual, route)
+def _over_terms(terms, direction: GenericDirection, block_jet, route: str,
+                checked: bool = True) -> RouteValue:
+    """Coefficient r - 1 of the sum over the terms of coef times the
+    group's block jet, read off as in `_read_off`."""
+    total = _jet_sum(block_jet(direction, at).scale(coef) for coef, at in terms)
+    return _read_off(total, len(direction.values) - 1, route, checked)
 
 
-# -- the enumerations: oracles, and the path of germs without product form --
+# -- the enumerations: oracles, and the path of every other germ -------------
 
 
 def _alternating_sum(germ: SmoothGerm, level: BlockProfile,
-                     direction: GenericDirection, lower: bool) -> RouteValue:
+                     direction: GenericDirection, lower: bool, route: str,
+                     checked: bool = True) -> RouteValue:
     d = level.d
     base = base_profile(d, level.r)
     k = _pole_order(level)
@@ -456,8 +432,7 @@ def _alternating_sum(germ: SmoothGerm, level: BlockProfile,
         jet = germ.line_jet(low_part if lower else upper, k + 1)
         scalar = sign * hat.covolume() * th.covolume() / to_mpf(rat)
         total = total + jet.scale(scalar)
-    route = "alternating-lower" if lower else "alternating-upper"
-    return _read_off(total, k, route)
+    return _read_off(total, k, route, checked)
 
 
 def _symmetrized_sum(germ: SmoothGerm, level: BlockProfile,
@@ -482,50 +457,32 @@ def _symmetrized_sum(germ: SmoothGerm, level: BlockProfile,
     return _read_off(total, k, "symmetrized")
 
 
-def _derivative_sum(germ: SmoothGerm, level: BlockProfile,
-                    direction: GenericDirection) -> RouteValue:
-    d = level.d
-    base = base_profile(d, level.r)
-    k = _pole_order(level)
-    lam0 = direction.vector
-    acc = mp.mpf(0)
-    for P in levels_between(base, level):
-        hat = hat_theta_factor(base, P)
-        th = theta_factor(P, level)
-        rat = hat.rational_part(lam0) * th.rational_part(lam0)
-        sign = epsilon(P, level)
-        upper, _ = project(lam0, P)
-        jet = germ.line_jet(upper, k + 1)
-        acc += sign * hat.covolume() * th.covolume() / to_mpf(rat) * jet.coeff(k)
-    return RouteValue(acc, mp.mpf(0), "derivative")
-
-
 # -- the routes ---------------------------------------------------------------
 
 
 def _alternating(germ: SmoothGerm, level: BlockProfile,
-                 direction: GenericDirection, lower: bool) -> RouteValue:
+                 direction: GenericDirection, lower: bool, route: str,
+                 checked: bool = True) -> RouteValue:
     _check_direction(direction, level)
     terms = _product_terms(germ, level)
     if terms is None:
-        return _alternating_sum(germ, level, direction, lower)
-    route = "alternating-lower" if lower else "alternating-upper"
-    return _over_blocks(terms, direction,
-                        partial(_alternating_block, lower=lower), route)
+        return _alternating_sum(germ, level, direction, lower, route, checked)
+    return _over_terms(terms, direction,
+                       partial(_alternating_block, lower=lower), route, checked)
 
 
 def tilde_c(germ: SmoothGerm, level: BlockProfile,
             direction: GenericDirection) -> RouteValue:
     """Limit at 0 of the alternating sum pairing phi with the upper
     (block-mean-free) projections."""
-    return _alternating(germ, level, direction, lower=False)
+    return _alternating(germ, level, direction, False, "alternating-upper")
 
 
 def c(germ: SmoothGerm, level: BlockProfile,
       direction: GenericDirection) -> RouteValue:
     """Limit at 0 of the alternating sum pairing phi with the lower
     (block-mean) projections."""
-    return _alternating(germ, level, direction, lower=True)
+    return _alternating(germ, level, direction, True, "alternating-lower")
 
 
 def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
@@ -536,17 +493,13 @@ def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
     terms = _product_terms(germ, level)
     if terms is None:
         return _symmetrized_sum(germ, level, direction)
-    return _over_blocks(terms, direction, _symmetrized_block, "symmetrized")
+    return _over_terms(terms, direction, _symmetrized_block, "symmetrized")
 
 
 def arthur_derivative_value(germ: SmoothGerm, level: BlockProfile,
                             direction: GenericDirection) -> RouteValue:
-    """The k-th derivative formula at one generic point: no limit and
-    no cancellation, hence no residual."""
-    _check_direction(direction, level)
-    terms = _product_terms(germ, level)
-    if terms is None:
-        return _derivative_sum(germ, level, direction)
-    return _over_blocks(terms, direction,
-                        partial(_alternating_block, lower=False),
-                        "derivative", checked=False)
+    """The k-th derivative formula at one generic point: coefficient k of
+    the upper alternating sum, read without a cancellation check, hence
+    no residual."""
+    return _alternating(germ, level, direction, False, "derivative",
+                        checked=False)

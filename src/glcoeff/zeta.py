@@ -90,6 +90,8 @@ class PlaceSet:
             if not tok:
                 continue
             if tok == "inf":
+                if arch:
+                    raise ValueError("duplicate place inf in place set")
                 arch = True
             else:
                 primes.append(int(tok))

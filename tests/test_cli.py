@@ -211,12 +211,14 @@ def test_contradictory_shape_exits_nonzero(capsys):
     ("zeta", "--eval", "xi", "--at", "2", "--order", "-2"),
     ("verify", "routes", "--n", "0"),
     ("verify", "cp-identity", "--n", "-3"),
+    ("zeta", "--eval", "ztilde-s", "--at", "1", "--S", "inf,inf"),
 ])
 def test_nonpositive_shape_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "at least 1" in err
+    message = "duplicate place" if "--S" in argv else "at least 1"
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("command", [

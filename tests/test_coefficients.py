@@ -319,7 +319,7 @@ def _enumeration_refused(*args, **kwargs):
 def test_coefficient_paths_never_enumerate(monkeypatch):
     """The germs of a_coefficient, J_o_unit and expansion are product
     germs, so no route falls back to a Weyl or parabolic enumeration."""
-    for name in ("_symmetrized_sum", "_alternating_sum", "_derivative_sum"):
+    for name in ("_symmetrized_sum", "_alternating_sum"):
         monkeypatch.setattr(gm, name, _enumeration_refused)
     with working(128):
         a_coefficient(BlockProfile(2, (2, 1)), PlaceSet.parse("2"))
@@ -347,7 +347,7 @@ def test_coefficient_paths_build_no_theta_factor(monkeypatch):
 
 def test_pool_starts_no_more_workers_than_terms(monkeypatch):
     """A fork pool starts all of its workers up front, so expansion asks
-    for at most one per term."""
+    for at most one per group size m = 2..r, and none for a single one."""
     started = []
 
     class SerialPool:
@@ -365,9 +365,10 @@ def test_pool_starts_no_more_workers_than_terms(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     with working(128):
-        exp = expansion(1, 2, jobs=64)
+        assert len(expansion(1, 3, jobs=64).terms) == 3
+        assert started == [2]
+        assert len(expansion(1, 2, jobs=64).terms) == 2
     assert started == [2]
-    assert len(exp.terms) == 2
 
 
 @pytest.mark.parametrize("d,small,extra", [(1, "2", "3"), (2, "", "2")])
@@ -390,10 +391,9 @@ def test_correction_germ_takes_the_block_routes(monkeypatch, d, small, extra):
             ((Q(1), tuple(LinearFactor(correction_provider, w, Q(1, d))
                           for w in coweights)),))
         germ = phi_for_L(level, PlaceSet.parse(small)) * correction
-        ((_, (table,)),) = gm._product_terms(germ, level)
+        ((_, table),) = gm._product_terms(germ, level)
         assert [len(factors) for factors in table] == [0, 2, 2, 0]
-        for name in ("_symmetrized_sum", "_alternating_sum",
-                     "_derivative_sum"):
+        for name in ("_symmetrized_sum", "_alternating_sum"):
             monkeypatch.setattr(gm, name, _enumeration_refused)
         direction = draw_generic_direction(d, level.parts, 0)
         via_germ = symmetrized_value(germ, level, direction).value
@@ -404,31 +404,66 @@ def test_correction_germ_takes_the_block_routes(monkeypatch, d, small, extra):
                                  for r in range(1, 6 // d + 1)])
 def test_block_routes_match_their_enumerations(d, r):
     """On every level of (r^d) with d*r <= 6 and several place sets, each
-    route split over the coarse blocks agrees with the Weyl or parabolic
-    enumeration it replaces."""
+    per-route product of group values that a_coefficient reports agrees
+    with the Weyl or parabolic enumeration of phi_for_L(level) along the
+    level's own direction."""
+    oracles = {
+        "symmetrized": lambda g, lv, dr: gm._symmetrized_sum(g, lv, dr),
+        "alternating-upper": lambda g, lv, dr: gm._alternating_sum(
+            g, lv, dr, False, "alternating-upper"),
+        "alternating-lower": lambda g, lv, dr: gm._alternating_sum(
+            g, lv, dr, True, "alternating-lower"),
+        "derivative": lambda g, lv, dr: gm._alternating_sum(
+            g, lv, dr, False, "derivative", checked=False),
+    }
     worst = mp.mpf(0)
     with working(256):
         for mu in partitions(r):
             level = BlockProfile(d, mu)
             direction = draw_generic_direction(d, mu, 0)
             for label in ("", "2", "2,3,inf"):
-                germ = phi_for_L(level, PlaceSet.parse(label))
-                pairs = (
-                    (gm.symmetrized_value(germ, level, direction),
-                     gm._symmetrized_sum(germ, level, direction)),
-                    (gm.tilde_c(germ, level, direction),
-                     gm._alternating_sum(germ, level, direction, lower=False)),
-                    (gm.c(germ, level, direction),
-                     gm._alternating_sum(germ, level, direction, lower=True)),
-                    (gm.arthur_derivative_value(germ, level, direction),
-                     gm._derivative_sum(germ, level, direction)),
-                )
-                for fast, slow in pairs:
-                    gap = abs(fast.value - slow.value) / max(1, abs(slow.value))
+                places = PlaceSet.parse(label)
+                routes = a_coefficient(level, places).diagnostics["routes"]
+                germ = phi_for_L(level, places)
+                for name, oracle in oracles.items():
+                    slow = oracle(germ, level, direction).value
+                    gap = abs(routes[name] - slow) / max(1, abs(slow))
                     worst = max(worst, gap)
         assert worst < tolerance()
-    print(f"\nblock routes vs enumerations, (d, r) = ({d}, {r}): "
+    print(f"\ngroup products vs enumerations, (d, r) = ({d}, {r}): "
           f"worst relative gap {mp.nstr(worst, 3)}")
+
+
+@pytest.mark.parametrize("places", ["", "2"])
+@pytest.mark.parametrize("d,parts", [(1, (3, 2, 1)), (2, (2, 1)),
+                                     (1, (2, 2, 1))])
+def test_levi_coefficient_is_the_product_of_group_values(d, parts, places):
+    """a(d; p_1..p_k) is the product of the group values a(GL(d*p_j)) in
+    part order, bit for bit: the routes never run on a Levi level."""
+    S = PlaceSet.parse(places)
+    with working(256):
+        value = a_coefficient(BlockProfile(d, parts), S).a_value
+        product = mp.mpf(1)
+        for p in parts:
+            if p > 1:
+                product *= a_coefficient(group_profile(d, p), S).a_value
+    assert value == product
+
+
+def test_expansion_runs_the_routes_once_per_group_size(monkeypatch):
+    """expansion(1, 6) has 11 terms but runs the routes on the five
+    groups GL(2)..GL(6) only, each once."""
+    levels = []
+    symmetrized = coefficients.symmetrized_value
+
+    def counting(germ, level, direction):
+        levels.append(level.parts)
+        return symmetrized(germ, level, direction)
+
+    monkeypatch.setattr(coefficients, "symmetrized_value", counting)
+    with working(128):
+        assert len(expansion(1, 6).terms) == 11
+    assert sorted(levels) == [(m,) for m in range(2, 7)]
 
 
 def test_four_routes_agree_on_gl8():

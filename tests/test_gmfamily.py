@@ -337,9 +337,12 @@ def random_product_germ(rng, level):
 
 ORACLES = {
     symmetrized_value: lambda g, lv, dr: gm._symmetrized_sum(g, lv, dr),
-    tilde_c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, lower=False),
-    c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, lower=True),
-    arthur_derivative_value: lambda g, lv, dr: gm._derivative_sum(g, lv, dr),
+    tilde_c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, False,
+                                                   "alternating-upper"),
+    c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, True,
+                                             "alternating-lower"),
+    arthur_derivative_value: lambda g, lv, dr: gm._alternating_sum(
+        g, lv, dr, False, "derivative", checked=False),
 }
 
 
@@ -349,14 +352,22 @@ ORACLES = {
      (3, (1, 2))],
 )
 def test_block_routes_match_their_enumerations_on_product_germs(d, parts):
-    """Each route split over the coarse blocks agrees with the permutation
-    or composition sum it replaces, on random germs in product form."""
+    """On the group each polynomial route agrees with the permutation or
+    composition sum it replaces, on random germs in product form.  A Levi
+    level is never split: its product germs take the enumerations, and
+    the routes still agree."""
     rng = random.Random(f"{d}:{parts}:product")
     level = BlockProfile(d, parts)
     direction = draw_generic_direction(d, parts, seed=3)
     with working(160):
         for _ in range(3):
             germ = random_product_germ(rng, level)
+            if len(parts) > 1:
+                assert gm._product_terms(germ, level) is None
+                values = [route(germ, level, direction).value
+                          for route in ROUTES]
+                assert spread(values) < tolerance()
+                continue
             assert gm._product_terms(germ, level) is not None
             for route, oracle in ORACLES.items():
                 fast = route(germ, level, direction).value
@@ -375,7 +386,7 @@ def test_germ_off_the_coweights_takes_the_enumeration(monkeypatch):
     germ = germ * SmoothGerm.linear((Q(1), Q(-1), Q(0), Q(0), Q(0)), shift=2)
     assert gm._product_terms(germ, level) is None
     called = []
-    for name in ("_symmetrized_sum", "_alternating_sum", "_derivative_sum"):
+    for name in ("_symmetrized_sum", "_alternating_sum"):
         original = getattr(gm, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
@@ -387,16 +398,16 @@ def test_germ_off_the_coweights_takes_the_enumeration(monkeypatch):
     with working(160):
         values = [route(germ, level, direction).value for route in ROUTES]
         assert spread(values) < tolerance()
-    assert sorted(called) == ["_alternating_sum", "_alternating_sum",
-                              "_derivative_sum", "_symmetrized_sum"]
+    assert sorted(called) == ["_alternating_sum"] * 3 + ["_symmetrized_sum"]
 
 
 def test_block_routes_check_cancellation(monkeypatch):
-    """Every block jet of a product germ must cancel below its pole
-    order; the derivative route divides by nothing and never checks."""
-    level = BlockProfile(1, (3, 2))
+    """The route jet of a product germ on the group must cancel below its
+    pole order; the derivative route divides by nothing and never checks."""
+    level = BlockProfile(1, (4,))
     germ = random_product_germ(random.Random(4), level)
-    direction = draw_generic_direction(1, (3, 2), seed=1)
+    assert gm._product_terms(germ, level) is not None
+    direction = draw_generic_direction(1, (4,), seed=1)
     with working(128):
         assert tilde_c(germ, level, direction).residual > 0
         monkeypatch.setattr(gm, "tolerance", lambda: mp.mpf(0))
@@ -404,3 +415,20 @@ def test_block_routes_check_cancellation(monkeypatch):
             with pytest.raises(CancellationError):
                 route(germ, level, direction)
         assert arthur_derivative_value(germ, level, direction).residual == 0
+
+
+def test_derivative_route_is_tilde_c_read_unchecked():
+    """The derivative route reads coefficient k of the upper alternating
+    sum without the cancellation check, so it equals tilde_c bit for bit,
+    on a product germ (group route) and on a random germ (enumeration)."""
+    rng = random.Random(8)
+    group, levi = BlockProfile(1, (4,)), BlockProfile(2, (2, 1))
+    cases = ((random_product_germ(rng, group), group),
+             (random_germ(rng, 6), levi))
+    with working(160):
+        for germ, level in cases:
+            direction = draw_generic_direction(level.d, level.parts, seed=2)
+            assert (gm._product_terms(germ, level) is None) == (level is levi)
+            derivative = arthur_derivative_value(germ, level, direction)
+            assert derivative.value == tilde_c(germ, level, direction).value
+            assert derivative.residual == 0

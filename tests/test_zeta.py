@@ -23,6 +23,8 @@ def test_place_set_parsing():
         Z.PlaceSet((4,))
     with pytest.raises(ValueError):
         Z.PlaceSet((3, 3))
+    with pytest.raises(ValueError):
+        Z.PlaceSet.parse("inf,2,inf")
 
 
 def test_zeta_jet_against_mpmath():
