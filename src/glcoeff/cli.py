@@ -19,17 +19,15 @@ from itertools import product
 
 import mpmath as mp
 
-from .coefficients import (RouteDisagreementError, a_coefficient, expansion,
-                           prolongation_identity_residuals,
+from .coefficients import (expansion, prolongation_identity_residuals,
                            unit_expansion_residual)
 from .gmfamily import SmoothGerm, c, draw_generic_direction, tilde_c
 from .numeric import (MIN_PREC, decimal_str, default_prec, parse_exact,
                       tolerance, tolerance_exponent, working)
 from .orbits import (LeviDatum, Partition, enumerate_inducing_pairs, induce,
                      induced_type_oracle, partitions, search_inducing_pairs)
-from .rootdata import (BlockProfile, base_profile, covolume,
-                       enumerate_parabolics, gram_determinant, group_profile,
-                       simple_data)
+from .rootdata import (base_profile, covolume, enumerate_parabolics,
+                       gram_determinant, group_profile, simple_data)
 from .zeta import (NumberFieldData, PlaceSet, ProviderError, volumes, xi_jet,
                    z_s_local_jet, ztilde_jet, ztilde_s_jet)
 
@@ -161,12 +159,7 @@ def cmd_coeff(args, config: RunConfig) -> int:
     places = PlaceSet.parse(args.S)
     field = _load_field(config)
     query = {"command": "coeff", "d": d, "r": r, "S": places.label()}
-    try:
-        exp = expansion(d, r, places, field, config.seed)
-    except RouteDisagreementError as exc:
-        _emit(_payload(config, query, [], {"error": str(exc),
-                                           "passed": False}), args.format)
-        return 2
+    exp = expansion(d, r, places, field, config.seed)
     rows = []
     worst_gap = mp.mpf(0)
     worst_resid = mp.mpf(0)
@@ -204,12 +197,7 @@ def cmd_expansion(args, config: RunConfig) -> int:
     field = _load_field(config)
     query = {"command": "expansion", "d": d, "r": r, "S": places.label(),
              "jobs": args.jobs}
-    try:
-        exp = expansion(d, r, places, field, config.seed, jobs=args.jobs)
-    except RouteDisagreementError as exc:
-        _emit(_payload(config, query, [], {"error": str(exc),
-                                           "passed": False}), args.format)
-        return 2
+    exp = expansion(d, r, places, field, config.seed, jobs=args.jobs)
     rows = []
     worst_gap = mp.mpf(0)
     for term in exp.terms:
@@ -431,14 +419,13 @@ def _suite_routes(args, config: RunConfig, field) -> tuple[list, dict]:
         local_gap = mp.mpf(0)
         local_resid = mp.mpf(0)
         levels = 0
-        for mu in partitions(r):
-            for label in SUITE_PLACE_SETS:
-                res = a_coefficient(BlockProfile(d, mu), PlaceSet.parse(label),
-                                    field, config.seed)
+        for label in SUITE_PLACE_SETS:
+            for term in expansion(d, r, PlaceSet.parse(label), field,
+                                  config.seed).terms:
+                diag = term.coefficient.diagnostics
                 levels += 1
-                local_gap = max(local_gap, res.diagnostics["max_disagreement"])
-                local_resid = max(local_resid,
-                                  max(res.diagnostics["residuals"].values()))
+                local_gap = max(local_gap, diag["max_disagreement"])
+                local_resid = max(local_resid, max(diag["residuals"].values()))
         worst_gap = max(worst_gap, local_gap)
         worst_resid = max(worst_resid, local_resid)
         rows.append({"d": d, "r": r, "evaluations": levels,

@@ -2,13 +2,14 @@
 
 The payload of the package.  On the group GL(d*m) the coefficient is
 the limit at 0 of a Weyl-symmetrized product of partial zeta-tower jets,
-computed through every route the germ engine offers and cross-checked.
+computed through every route the germ engine offers and cross-checked
+(`_group_routes`, the only place the routes run for a coefficient).
 A Levi grouping the r inner d-blocks into parts gets the product of the
 group coefficients of its parts, route by route.
-The module also evaluates the unit-function weighted integrals in
-closed form (as jets along certified lines), checks the analytic
-continuation identity that glues them, and assembles the full expansion
-as a formal object whose local integrals stay opaque symbols.
+The module also evaluates the regularized unit-function integral, checks
+the analytic continuation identity that glues the unit-function
+integrals, and assembles the full expansion as a formal object whose
+local integrals stay opaque symbols.
 
 All values carry diagnostics: which routes were run, how far apart they
 landed, and the cancellation residuals of the removable poles.
@@ -153,8 +154,8 @@ class CoefficientResult:
 def _levi_coefficient(level: BlockProfile, groups: dict[int, dict],
                       places: PlaceSet, field: NumberFieldData,
                       seed: int) -> CoefficientResult:
-    """The coefficient at `level` from the diagnostics of the group
-    coefficients a(GL(d*p)) of its parts: route by route the product over
+    """The coefficient at `level` from the group values a(GL(d*p)) of its
+    parts, as `_group_routes` gives them: route by route the product over
     the parts, a part of size 1 contributing exactly 1, with the largest
     group residual.  The symmetrized product is reported."""
     routes = dict.fromkeys(ROUTE_NAMES, mp.mpf(1))
@@ -185,18 +186,28 @@ def _levi_coefficient(level: BlockProfile, groups: dict[int, dict],
     )
 
 
+def _group_routes(d: int, m: int, places: PlaceSet, field: NumberFieldData,
+                  seed: int) -> dict:
+    """Values and residuals of the four cross-checked routes of a(GL(d*m))."""
+    level = group_profile(d, m)
+    routes = _cross_checked_routes(phi_for_L(level, places, field), level,
+                                   draw_generic_direction(d, (m,), seed),
+                                   f"level {level.parts}, S={places.label()}")
+    return {"routes": {rv.route: rv.value for rv in routes},
+            "residuals": {rv.route: rv.residual for rv in routes}}
+
+
 def _term_worker(args) -> dict:
     (d, m, places, field, seed, prec) = args
     with working(prec):
-        return a_coefficient(group_profile(d, m), places, field,
-                             seed).diagnostics
+        return _group_routes(d, m, places, field, seed)
 
 
 def _group_coefficients(d: int, sizes, places: PlaceSet,
                         field: NumberFieldData, seed: int,
                         jobs: int = 1) -> dict[int, dict]:
-    """Diagnostics of a_coefficient on GL(d*m) for every distinct m > 1 in
-    sizes.  With jobs > 1 each m is one pool task, largest first."""
+    """_group_routes of GL(d*m) for every distinct m > 1 in sizes.  With
+    jobs > 1 each m is one pool task, largest first."""
     sizes = sorted({m for m in sizes if m > 1}, reverse=True)
     workers = min(jobs, len(sizes))  # a fork pool starts every worker at once
     if workers > 1:
@@ -204,8 +215,7 @@ def _group_coefficients(d: int, sizes, places: PlaceSet,
         args = [(d, m, places, field, seed, requested_prec()) for m in sizes]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return dict(zip(sizes, pool.map(_term_worker, args)))
-    return {m: a_coefficient(group_profile(d, m), places, field,
-                             seed).diagnostics for m in sizes}
+    return {m: _group_routes(d, m, places, field, seed) for m in sizes}
 
 
 @working()
@@ -214,23 +224,14 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
                   seed: int = 0) -> CoefficientResult:
     """Coefficient for the Levi grouping the d-blocks per `level.parts`.
 
-    On a group level all four routes run and must agree within
-    numeric.tolerance(), else RouteDisagreementError; the symmetrized
-    route supplies the value.  On any other level each route value is
-    the product of the group values of the parts, held to the same
-    tolerance.
+    The four routes run on GL(d*p) for each distinct part p > 1 and must
+    agree within numeric.tolerance(), else RouteDisagreementError; each
+    route value of the level is the product of its group values, held to
+    the same tolerance, and the symmetrized route supplies the value.
     """
     field = _resolve_field(field)
-    if len(level.parts) > 1 or level.r == 1:
-        groups = _group_coefficients(level.d, level.parts, places, field, seed)
-        return _levi_coefficient(level, groups, places, field, seed)
-    germ = phi_for_L(level, places, field)
-    direction = draw_generic_direction(level.d, level.parts, seed)
-    routes = _cross_checked_routes(germ, level, direction,
-                                   f"level {level.parts}, S={places.label()}")
-    group = {"routes": {rv.route: rv.value for rv in routes},
-             "residuals": {rv.route: rv.residual for rv in routes}}
-    return _levi_coefficient(level, {level.r: group}, places, field, seed)
+    groups = _group_coefficients(level.d, level.parts, places, field, seed)
+    return _levi_coefficient(level, groups, places, field, seed)
 
 
 @working()
@@ -255,57 +256,12 @@ def a_tilde(levi: LeviDatum, d: int, places: PlaceSet = EMPTY_PLACES,
 
 
 # ---------------------------------------------------------------------------
-# unit-function weighted integrals as jets
-
-
-def J_P_unit(P: BlockProfile, direction: GenericDirection, order: int,
-             field: NumberFieldData | None = None) -> Jet:
-    """Laurent jet of the unit-function integral attached to P along the
-    certified line: block-Levi volume, inverse pairing product, and one
-    complete d-tower factor per within-block coweight."""
-    field = _resolve_field(field)
-    if (direction.d, direction.parts) != (P.d, (P.r,)):
-        raise ValueError("direction must be certified for the ambient group")
-    d = P.d
-    lam0 = direction.vector
-    upper, _ = project(lam0, P)
-    internal = order + P.r + 2
-    tower = _tower_cached(d, field, internal, mp.mp.prec)
-    out = Jet.polynomial({0: vol_block_levi(P, field)})
-    for w in simple_data(base_profile(d, P.r), P).coweights:
-        rate = pairing(upper, w) / d
-        # the tower value at d + rate*t over its removed linear factor
-        out = out * tower.scale_arg(rate) * Jet.polynomial({-1: 1 / to_mpf(rate)})
-    th = theta_factor(P)
-    if th.degree:
-        rat = th.rational_part(lam0)
-        out = out * Jet.polynomial({-th.degree: th.covolume() / to_mpf(rat)})
-    return out.truncate(order)
+# unit-function weighted integrals
 
 
 def _j_tilde_prefactor(d: int, r: int, field: NumberFieldData) -> mp.mpf:
     hat = hat_theta_factor(base_profile(d, r), group_profile(d, r))
     return to_mpf(d) ** (r - 1) * vol_group(d, r, field) / hat.covolume()
-
-
-def _j_tilde_jet_along(d: int, r: int, vec, order: int,
-                       field: NumberFieldData) -> Jet:
-    internal = order + 2
-    tower = _tower_cached(d, field, internal, mp.mp.prec)
-    out = Jet.polynomial({0: _j_tilde_prefactor(d, r, field)})
-    for w in simple_data(base_profile(d, r)).coweights:
-        out = out * tower.scale_arg(pairing(vec, w) / Q(d))
-    return out.truncate(order)
-
-
-def J_tilde_unit(d: int, r: int, direction: GenericDirection, order: int,
-                 field: NumberFieldData | None = None) -> Jet:
-    """Analytic jet of the regularized ambient integral along the line;
-    no negative orders for any direction."""
-    field = _resolve_field(field)
-    if (direction.d, direction.parts) != (d, (r,)):
-        raise ValueError("direction must be certified for the ambient group")
-    return _j_tilde_jet_along(d, r, direction.vector, order, field)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

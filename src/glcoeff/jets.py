@@ -243,24 +243,6 @@ def exp_jet(arg: Jet, order: int | None = None) -> Jet:
     return Jet(0, tuple(out), order)
 
 
-def compose(outer: Jet, inner: Jet, order: int | None = None) -> Jet:
-    """outer(inner(t)) for analytic jets with inner(0) = 0."""
-    if outer.low < 0:
-        raise ValueError("composition into a Laurent jet is not supported")
-    if inner.low < 1:
-        raise ValueError("inner jet must vanish at 0")
-    if order is None:
-        order = min(outer.trunc, inner.trunc)
-        if order == EXACT:
-            raise ValueError("composing exact jets needs an explicit order")
-    trunc = min(order, inner.trunc)
-    top = outer.stored_high if outer.trunc == EXACT else outer.trunc
-    acc = Jet.polynomial({})
-    for k in range(top - 1, outer.low - 1, -1):
-        acc = (acc * inner).truncate(trunc) + Jet.polynomial({0: outer.coeff(k)})
-    return acc.truncate(trunc)
-
-
 @dataclass(frozen=True)
 class LinearFactor:
     """One factor f(rate_scale * <lam, form>) of a product of scalar functions.

@@ -1,9 +1,9 @@
 """Nilpotent orbit bookkeeping for gl(n).
 
-Jordan types of the block superdiagonal elements, orbit induction from a
-Levi by padded componentwise partition sums, and the (Levi, orbit) pairs
-that induce a given block-regular orbit: one per partition of r in
-closed form, with the exhaustive search kept as its oracle.
+Partitions as Jordan types, orbit induction from a Levi by padded
+componentwise partition sums, and the (Levi, orbit) pairs that induce a
+given block-regular orbit: one per partition of r in closed form, with
+the exhaustive search kept as its oracle.
 Everything here is exact integer or rational arithmetic.  The rank-of-
 powers oracle is deliberately independent of the combinatorial rules so
 the two can certify each other in the test suite.
@@ -126,51 +126,6 @@ def jordan_matrix(p: Partition) -> list[list[int]]:
     return m
 
 
-def x_matrix(profile: BlockProfile) -> list[list[int]]:
-    """The standard block element for a profile: per diagonal factor of
-    size part*d, identity d-blocks along the d-th superdiagonal."""
-    m = zero_matrix(profile.n)
-    off = 0
-    for part in profile.parts:
-        size = part * profile.d
-        for j in range(size - profile.d):
-            m[off + j][off + j + profile.d] = 1
-        off += size
-    return m
-
-
-@dataclass(frozen=True)
-class BlockNilpotentMatrix:
-    """The explicit integer matrix realizing the block element of a profile."""
-
-    profile: BlockProfile
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        d = self.profile.d
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if x not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                if x and j < (i // d + 1) * d:
-                    raise ValueError("matrix must be strictly block upper triangular")
-
-    @classmethod
-    def from_profile(cls, profile: BlockProfile) -> "BlockNilpotentMatrix":
-        return cls(profile, tuple(tuple(r) for r in x_matrix(profile)))
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
-
-def jordan_type(profile: BlockProfile) -> Partition:
-    """Jordan type of the block element: each part repeated d times."""
-    parts = []
-    for part in profile.parts:
-        parts.extend([part] * profile.d)
-    return Partition(tuple(sorted(parts, reverse=True)))
-
-
 def rank_powers_oracle(m) -> Partition:
     """Jordan type from the rank sequence of powers.
 
@@ -178,8 +133,6 @@ def rank_powers_oracle(m) -> Partition:
     exact arithmetic throughout, so the answer is certified, not
     approximated.  Raises on non-nilpotent input.
     """
-    if isinstance(m, BlockNilpotentMatrix):
-        m = m.as_lists()
     n = len(m)
     if n == 0:
         return Partition(())

@@ -143,9 +143,7 @@ def _step(n: int, lo: int, mid: int, hi: int, a: Fraction, b: Fraction) -> Vecto
 
 @dataclass(frozen=True)
 class SimpleData:
-    roots: tuple[Vector, ...]
     coroots: tuple[Vector, ...]
-    weights: tuple[Vector, ...]
     coweights: tuple[Vector, ...]
     coroot_gram_det: Fraction
 
@@ -182,16 +180,12 @@ def _simple_data_sizes(fine: tuple[int, ...], coarse: tuple[int, ...]) -> Simple
             det /= hi - lo
         start = end
 
-    co = tuple(coroots)
-    cw = tuple(coweights)
-    # roots and coroots coincide as vectors in this self-dual model,
-    # hence so do weights and coweights
-    return SimpleData(roots=co, coroots=co, weights=cw, coweights=cw,
+    return SimpleData(coroots=tuple(coroots), coweights=tuple(coweights),
                       coroot_gram_det=det)
 
 
 def simple_data(fine: BlockProfile, coarse: BlockProfile | None = None) -> SimpleData:
-    """Roots/coroots of A_P on the Levi of Q, plus the dual bases, P <= Q."""
+    """Coroots of A_P on the Levi of Q and their dual coweights, P <= Q."""
     if coarse is None:
         coarse = group_profile(fine.d, fine.r)
     if fine.n != coarse.n:

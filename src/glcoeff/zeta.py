@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .jets import EXACT, Jet, exp_jet, strip_leading_zeros
+from .jets import Jet, exp_jet, strip_leading_zeros
 from .numeric import requested_prec, sqrt_fraction, to_mpf
 from .rootdata import BlockProfile, base_profile, group_profile
 
@@ -136,14 +136,22 @@ class NumberFieldData:
     def from_file(cls, path: str) -> "NumberFieldData":
         with open(path) as fh:
             raw = json.load(fh)
+
+        def integer(x):
+            if type(x) is not int:  # JSON integers only: no bool, float or str
+                raise TypeError(f"{x!r} is not an integer")
+            return x
+
         try:
-            degree = int(raw["degree"])
-            disc = int(raw["discriminant"])
-            r1, r2 = (int(x) for x in raw["signature"])
-            coeffs = tuple(int(a) for a in raw["dirichlet_coefficients"])
-            shifts = list(raw["gamma_factor_shifts"])
+            degree = integer(raw["degree"])
+            disc = integer(raw["discriminant"])
+            r1, r2 = (integer(x) for x in raw["signature"])
+            coeffs = tuple(integer(a) for a in raw["dirichlet_coefficients"])
+            shifts = [integer(s) for s in raw["gamma_factor_shifts"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed field data file {path}: {exc}") from exc
+        if disc == 0:
+            raise ProviderError("the discriminant must be nonzero")
         if degree < 1 or r1 + 2 * r2 != degree:
             raise ProviderError("signature does not match the degree")
         if shifts != [0] * r1 + [0, 1] * r2:
@@ -533,39 +541,6 @@ def _dirichlet_tail_bound(s, j: int, m_cut: int) -> mp.mpf:
 # local factors
 
 
-def xi_local(place, s, field: NumberFieldData | None = None, order: int | None = None):
-    """One local factor of the completed zeta.
-
-    Finite place p over the rationals: (1 - p^-s)^-1, returned as an
-    exact Fraction for integer s.  The token "inf" is the real place of
-    the rationals.  A Jet argument composes the factor with it.
-    """
-    field = _resolve_field(field)
-    if isinstance(s, Jet):
-        return _xi_local_compose(place, s, field, order)
-    if place == "inf":
-        if not field.is_rational:
-            raise ProviderError("archimedean local factors are only built in "
-                                "for the rationals")
-        s_m = to_mpf(s)
-        return mp.power(mp.pi, -s_m / 2) * mp.gamma(s_m / 2)
-    p = int(place)
-    denom_poly = field.euler_factor(p)
-    if isinstance(s, (int, Fraction)) and Fraction(s).denominator == 1:
-        n_exp = int(s)
-        x = Fraction(1, p**n_exp) if n_exp >= 0 else Fraction(p**(-n_exp))
-        value = sum(Fraction(d) * x**k for k, d in enumerate(denom_poly))
-        if value == 0:
-            raise ZeroDivisionError(f"local factor at {p} has a pole at s={s}")
-        return 1 / value
-    s_m = to_mpf(s)
-    x = mp.power(p, -s_m)
-    value = mp.mpf(0)
-    for k in reversed(range(len(denom_poly))):
-        value = value * x + denom_poly[k]
-    return 1 / value
-
-
 def xi_local_jet(place, center, order: int,
                  field: NumberFieldData | None = None) -> Jet:
     """Jet of the local factor in its scalar argument at a rational center."""
@@ -591,35 +566,6 @@ def xi_local_jet(place, center, order: int,
         acc = (acc * x_jet).truncate(internal) + Jet.polynomial({0: denom_poly[k]})
     acc = strip_leading_zeros(acc.truncate(internal))
     return acc.reciprocal(internal - acc.low).truncate(order)
-
-
-def _exact_dyadic(x) -> Fraction:
-    """Exact rational value of a stored coefficient (mpf or rational)."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    m = mp.mpf(x)
-    if not mp.isfinite(m):
-        raise ValueError("coefficient is not finite")
-    sign, man, exp, _ = m._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man) * Fraction(2) ** exp
-    return -val if sign else val
-
-
-def _xi_local_compose(place, s_jet: Jet, field: NumberFieldData, order: int | None):
-    from .jets import compose
-
-    if order is None:
-        order = s_jet.trunc if s_jet.trunc != EXACT else None
-    if order is None:
-        raise ValueError("an explicit order is required for exact jets")
-    center = _exact_dyadic(s_jet.coeff(0))
-    base = xi_local_jet(place, center, order, field)
-    inner = strip_leading_zeros(s_jet - Jet.polynomial({0: center}))
-    if inner.low < 1:
-        raise ValueError("jet argument must be centered (constant term removed)")
-    return compose(base, inner, order)
 
 
 # ---------------------------------------------------------------------------

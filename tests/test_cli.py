@@ -9,7 +9,9 @@ import json
 import mpmath as mp
 import pytest
 
+from glcoeff import coefficients
 from glcoeff.cli import _resolve_shape, main
+from glcoeff.gmfamily import RouteValue
 from glcoeff.numeric import working
 
 
@@ -264,6 +266,42 @@ def test_runtime_failure_exits_2(capsys, monkeypatch):
     assert err.startswith("error:") and "seed exhausted" in err
 
 
+@pytest.mark.parametrize("command", ["coeff", "expansion"])
+def test_route_disagreement_exits_2(capsys, monkeypatch, command):
+    """A route disagreement takes main's one error path: an error line on
+    stderr, nothing on stdout, exit 2."""
+    derivative = coefficients.arthur_derivative_value
+
+    def perturbed(*args):
+        rv = derivative(*args)
+        return RouteValue(rv.value + mp.mpf("1e-6"), rv.residual, rv.route)
+
+    monkeypatch.setattr(coefficients, "arthur_derivative_value", perturbed)
+    code, out, err = run_cli(capsys, command, "--d", "1", "--r", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: route disagreement")
+
+
+def test_verify_routes_runs_each_group_once_per_row(capsys, monkeypatch):
+    """Each (d, r, S) row of verify routes comes from one expansion, so
+    the routes run on GL(d*m), m = 2..r, once each: 7 groups times 3
+    place sets for d*r <= 4."""
+    levels = []
+    symmetrized = coefficients.symmetrized_value
+
+    def counting(germ, level, direction):
+        levels.append(level.parts)
+        return symmetrized(germ, level, direction)
+
+    monkeypatch.setattr(coefficients, "symmetrized_value", counting)
+    code, _, _ = run_cli(capsys, "verify", "routes", "--n", "4",
+                         "--prec", "128")
+    assert code == 0
+    assert len(levels) == 21
+    assert all(len(parts) == 1 for parts in levels)
+
+
 def test_parallel_expansion_matches_serial(capsys):
     _, serial, _ = run_cli(capsys, "expansion", "--d", "2", "--r", "2",
                            "--S", "2", "--prec", "128", "--jobs", "1")
@@ -295,3 +333,25 @@ def test_field_file_budget_failure_exits_cleanly(capsys, gaussian_field_file):
                            "--field", gaussian_field_file, "--prec", "64")
     assert code == 2
     assert "error:" in err and "64 requested (128 working)" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("degree", 2.9), ("discriminant", -4.9), ("signature", [0, 1.7]),
+    ("a_5", 2.5), ("a_1", "1"), ("a_1", True), ("discriminant", 0)])
+def test_non_integral_field_file_exits_2(capsys, tmp_path, gaussian_field_file,
+                                         key, value):
+    """Field data holds JSON integers only and a nonzero discriminant; the
+    Gaussian file with one entry changed is refused, not truncated."""
+    raw = json.loads(open(gaussian_field_file).read())
+    if key.startswith("a_"):
+        raw["dirichlet_coefficients"][int(key[2:]) - 1] = value
+    else:
+        raw[key] = value
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "zeta", "--eval", "xi", "--at", "10",
+                             "--prec", "32", "--order", "2",
+                             "--field", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

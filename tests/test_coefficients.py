@@ -1,18 +1,21 @@
 """Tests for the coefficient calculator.
 
-Closed forms for GL(2), route cross-checks, the unit-function jets, the
-pointwise continuation identity, and the consistency of the assembled
-expansion evaluated on the unit function.
+Closed forms for GL(2), route cross-checks, the regularized unit value,
+the pointwise continuation identity, and the consistency of the
+assembled expansion evaluated on the unit function.
 """
+import ast
 import concurrent.futures
+import pathlib
 from fractions import Fraction as Q
 
 import mpmath as mp
 import pytest
 
+import glcoeff
 from glcoeff import coefficients
 from glcoeff import gmfamily as gm
-from glcoeff.coefficients import (J_o_unit, J_P_unit, J_tilde_unit,
+from glcoeff.coefficients import (ROUTE_NAMES, J_o_unit,
                                   RouteDisagreementError, a_coefficient,
                                   a_tilde, expansion, phi_for_L,
                                   prolongation_identity_residuals,
@@ -20,13 +23,14 @@ from glcoeff.coefficients import (J_o_unit, J_P_unit, J_tilde_unit,
 from glcoeff.gmfamily import (RouteValue, SmoothGerm, draw_generic_direction,
                               symmetrized_value)
 from glcoeff.jets import LinearFactor
-from glcoeff.numeric import to_mpf, tolerance, working
+from glcoeff.numeric import tolerance, working
 from glcoeff.orbits import (LeviDatum, Partition, enumerate_inducing_pairs,
                             partitions)
 from glcoeff.rootdata import (BlockProfile, base_profile, enumerate_parabolics,
-                              group_profile, pairing, project, simple_data)
-from glcoeff.zeta import (NumberFieldData, PlaceSet, ProviderError,
-                          vol_minimal_levi, z_s_local_jet, ztilde_jet)
+                              group_profile, simple_data)
+from glcoeff.zeta import (EMPTY_PLACES, RATIONAL_FIELD, NumberFieldData,
+                          PlaceSet, ProviderError, vol_minimal_levi,
+                          z_s_local_jet)
 
 # value of the top coefficient for GL(2) over the rationals:
 # (euler_gamma/2 - log(2) - log(pi)/2) / sqrt(2) with no places removed,
@@ -154,56 +158,6 @@ def test_place_growth_matches_correction_germ(d, small, extra):
         direction = draw_generic_direction(d, level.parts, 0)
         via_germ = symmetrized_value(germ, level, direction).value
         assert abs(direct - via_germ) < mp.mpf("1e-40")
-
-
-def test_unit_jet_for_the_full_group_in_gl2():
-    # one block: volume 1/sqrt(2), a single complete tower factor and a
-    # simple pole from the removed linear term
-    with working(256):
-        P = BlockProfile(1, (2,))
-        direction = draw_generic_direction(1, (2,), 0)
-        jet = J_P_unit(P, direction, 2)
-        lam = direction.vector
-        w = simple_data(base_profile(1, 2), P).coweights[0]
-        rate = pairing(project(lam, P)[0], w)
-        tower = ztilde_jet(1, 1, 2)
-        root2 = mp.sqrt(2)
-        assert jet.low == -1
-        assert abs(jet.coeff(-1) - tower.coeff(0) / (root2 * to_mpf(rate))) \
-            < mp.mpf("1e-60")
-        assert abs(jet.coeff(0) - tower.coeff(1) / root2) < mp.mpf("1e-60")
-
-
-def test_unit_jet_for_the_minimal_parabolic_in_gl2():
-    # two blocks of size one: no tower factors, just the volume over the
-    # pairing, so a bare simple pole
-    with working(256):
-        P = base_profile(1, 2)
-        direction = draw_generic_direction(1, (2,), 0)
-        jet = J_P_unit(P, direction, 2)
-        lam = direction.vector
-        gap = to_mpf(lam[0] - lam[1])
-        assert jet.low == -1
-        assert abs(jet.coeff(-1) - mp.sqrt(2) / gap) < mp.mpf("1e-60")
-        assert abs(jet.coeff(0)) < mp.mpf("1e-60")
-
-
-@pytest.mark.parametrize("d,r", [(1, 2), (1, 3), (2, 2)])
-def test_regularized_jet_is_analytic(d, r):
-    with working(160):
-        j0 = J_tilde_unit(d, r, draw_generic_direction(d, (r,), 0), 3)
-        j1 = J_tilde_unit(d, r, draw_generic_direction(d, (r,), 0, salt=3), 3)
-        assert j0.low >= 0
-        assert abs(j0.coeff(0) - j1.coeff(0)) < mp.mpf("1e-40")
-
-
-def test_unit_jet_direction_must_match():
-    with working(128):
-        direction = draw_generic_direction(1, (2, 1), 0)
-        with pytest.raises(ValueError):
-            J_P_unit(BlockProfile(1, (2, 1)), direction, 2)
-        with pytest.raises(ValueError):
-            J_tilde_unit(1, 3, direction, 2)
 
 
 @pytest.mark.parametrize("d,r", [(1, 2), (1, 3), (2, 2)])
@@ -464,6 +418,46 @@ def test_expansion_runs_the_routes_once_per_group_size(monkeypatch):
     with working(128):
         assert len(expansion(1, 6).terms) == 11
     assert sorted(levels) == [(m,) for m in range(2, 7)]
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("a coefficient result was built for a group value")
+
+
+def test_group_values_build_no_coefficient_result(monkeypatch):
+    """A group value is its route values and residuals only: no inducing
+    pair and no volume is built for it."""
+    for name in ("block_pair", "vol_minimal_levi"):
+        monkeypatch.setattr(coefficients, name, _refused)
+    with working(128):
+        groups = coefficients._group_coefficients(
+            1, range(2, 5), EMPTY_PLACES, RATIONAL_FIELD, 0)
+    assert sorted(groups) == [2, 3, 4]
+    for group in groups.values():
+        assert set(group) == {"routes", "residuals"}
+        assert tuple(group["routes"]) == ROUTE_NAMES
+
+
+def _route_references(node) -> int:
+    return sum(1 for n in ast.walk(node)
+               if getattr(n, "id", getattr(n, "attr", None))
+               == "_cross_checked_routes")
+
+
+def test_routes_run_from_two_places_only():
+    """_cross_checked_routes is reached from _group_routes (every
+    coefficient) and J_o_unit (the unit value), and from nowhere else."""
+    users = {}
+    total = 0
+    for path in sorted(pathlib.Path(glcoeff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        total += _route_references(tree)
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and _route_references(func):
+                users[f"{path.stem}.{func.name}"] = _route_references(func)
+    assert users == {"coefficients._group_routes": 1,
+                     "coefficients.J_o_unit": 1}
+    assert total == 2
 
 
 def test_four_routes_agree_on_gl8():

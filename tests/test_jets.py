@@ -4,9 +4,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from glcoeff.jets import (CancellationError, EXACT, Jet, compose,
-                          div_by_monomial, exp_jet, split_monomial,
-                          strip_leading_zeros)
+from glcoeff.jets import (CancellationError, EXACT, Jet, div_by_monomial,
+                          exp_jet, split_monomial, strip_leading_zeros)
 from glcoeff.numeric import working
 
 
@@ -126,18 +125,6 @@ def test_exp_jet_homomorphism():
     lhs = exp_jet(a + b, 6)
     rhs = exp_jet(a, 6) * exp_jet(b, 6)
     assert close(lhs, rhs, tol=1e-10)
-
-
-def test_compose_against_direct_evaluation():
-    # outer = 1/(1+u) at u=0, inner = t + t^2
-    outer = Jet.polynomial({0: 1, 1: 1}).reciprocal(6)
-    inner = Jet.polynomial({1: 1, 2: 1}).truncate(6)
-    comp = compose(outer, inner, 6)
-    t = mp.mpf("0.01")
-    direct = 1 / (1 + t + t * t)
-    assert abs(comp.evaluate(t) - direct) < 1e-11
-    with pytest.raises(ValueError):
-        compose(outer, Jet.polynomial({0: 1, 1: 1}).truncate(4), 4)
 
 
 def test_exact_jets_never_truncate():

@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from glcoeff.orbits import (BlockNilpotentMatrix, LeviDatum, Partition,
-                            dominates, enumerate_inducing_pairs,
-                            generic_induced_element, induce,
-                            induced_type_oracle, jordan_matrix, jordan_type,
+from glcoeff.orbits import (LeviDatum, Partition, dominates,
+                            enumerate_inducing_pairs, generic_induced_element,
+                            induce, induced_type_oracle, jordan_matrix,
                             partitions, rank_powers_oracle,
-                            search_inducing_pairs, x_matrix)
-from glcoeff.rootdata import BlockProfile
+                            search_inducing_pairs)
 
 
 def test_partition_basics():
@@ -55,19 +53,6 @@ def test_rank_powers_oracle_matches_jordan_type():
 def test_rank_oracle_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         rank_powers_oracle([[1]])
-
-
-def test_block_matrix_and_jordan_type():
-    prof = BlockProfile(2, (2, 1))
-    assert jordan_type(prof) == Partition((2, 2, 1, 1))
-    assert rank_powers_oracle(x_matrix(prof)) == Partition((2, 2, 1, 1))
-    bm = BlockNilpotentMatrix.from_profile(prof)
-    assert rank_powers_oracle(bm.as_lists()) == Partition((2, 2, 1, 1))
-
-
-def test_block_matrix_validation():
-    with pytest.raises(ValueError):
-        BlockNilpotentMatrix(BlockProfile(1, (2,)), ((0, 0), (1, 0)))
 
 
 def test_induce_padded_sum():
