@@ -2,14 +2,15 @@
 
 The payload of the package.  On the group GL(d*m) the coefficient is
 the limit at 0 of a Weyl-symmetrized product of partial zeta-tower jets,
-computed through every route the germ engine offers and cross-checked
-(`_group_routes`, the only place the routes run for a coefficient).
-A Levi grouping the r inner d-blocks into parts gets the product of the
-group coefficients of its parts, route by route.
+computed through the three independent routes of the germ engine and
+cross-checked (`_group_routes`, the only place the routes run for a
+coefficient).  A Levi grouping the r inner d-blocks into parts gets the
+product of the group coefficients of its parts, route by route.
 The module also evaluates the regularized unit-function integral, checks
 the analytic continuation identity that glues the unit-function
 integrals, and assembles the full expansion as a formal object whose
-local integrals stay opaque symbols.
+local integrals stay opaque symbols.  The unit-function check sums the
+orderings of the coarse blocks with the engine's Held-Karp recursion.
 
 All values carry diagnostics: which routes were run, how far apart they
 landed, and the cancellation residuals of the removable poles.
@@ -20,16 +21,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import mpmath as mp
 
-from .gmfamily import (GenericDirection, RouteValue, SmoothGerm,
-                       arthur_derivative_value, c, draw_generic_direction,
-                       symmetrized_value, tilde_c)
-from .jets import Jet, LinearFactor, div_by_monomial
-from .numeric import requested_prec, to_mpf, tolerance, working
+from .gmfamily import (GenericDirection, RouteValue, SmoothGerm, c,
+                       draw_generic_direction, held_karp, symmetrized_value,
+                       tilde_c)
+from .jets import Jet, LinearFactor, split_pole
+from .numeric import (requested_prec, sqrt_fraction, to_mpf, tolerance,
+                      working)
 from .orbits import (LeviDatum, Partition, block_pair,
                      enumerate_inducing_pairs, induce, partitions)
 from .rootdata import (BlockProfile, base_profile, group_profile,
@@ -55,8 +56,7 @@ class RouteDisagreementError(ArithmeticError):
             f"{mp.nstr(tolerance, 8)} ({where})")
 
 
-ROUTE_NAMES = ("symmetrized", "alternating-upper", "alternating-lower",
-               "derivative")
+ROUTE_NAMES = ("symmetrized", "alternating-upper", "alternating-lower")
 
 
 def _route_gap(values, where: str) -> mp.mpf:
@@ -72,12 +72,11 @@ def _route_gap(values, where: str) -> mp.mpf:
 def _cross_checked_routes(germ: SmoothGerm, level: BlockProfile,
                           direction: GenericDirection,
                           where: str) -> tuple[RouteValue, ...]:
-    """All four routes, in ROUTE_NAMES order, checked by _route_gap."""
+    """The three routes, in ROUTE_NAMES order, checked by _route_gap."""
     routes = (
         symmetrized_value(germ, level, direction),
         tilde_c(germ, level, direction),
         c(germ, level, direction),
-        arthur_derivative_value(germ, level, direction),
     )
     _route_gap([rv.value for rv in routes], where)
     return routes
@@ -188,7 +187,7 @@ def _levi_coefficient(level: BlockProfile, groups: dict[int, dict],
 
 def _group_routes(d: int, m: int, places: PlaceSet, field: NumberFieldData,
                   seed: int) -> dict:
-    """Values and residuals of the four cross-checked routes of a(GL(d*m))."""
+    """Values and residuals of the three cross-checked routes of a(GL(d*m))."""
     level = group_profile(d, m)
     routes = _cross_checked_routes(phi_for_L(level, places, field), level,
                                    draw_generic_direction(d, (m,), seed),
@@ -224,7 +223,7 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
                   seed: int = 0) -> CoefficientResult:
     """Coefficient for the Levi grouping the d-blocks per `level.parts`.
 
-    The four routes run on GL(d*p) for each distinct part p > 1 and must
+    The three routes run on GL(d*p) for each distinct part p > 1 and must
     agree within numeric.tolerance(), else RouteDisagreementError; each
     route value of the level is the product of its group values, held to
     the same tolerance, and the symmetrized route supplies the value.
@@ -321,7 +320,7 @@ def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
     """Value at 0 of the Weyl-symmetrized regularized ambient integral.
 
     Computed with the germ engine on the product of complete d-tower
-    factors, cross-checked against the other three routes.
+    factors, cross-checked against the other two routes.
     """
     field = _resolve_field(field)
     level = group_profile(d, r)
@@ -340,55 +339,67 @@ def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
 # consistency of the assembled expansion for the unit function
 
 
+def _coarse_pairings(comp: tuple[int, ...], values: tuple[Fraction, ...]):
+    """{(S, j): the fine-coweight pairings over d that coarse block j
+    brings after the set S}, or None unless the values are distinct (theta
+    over the coarse coroots is the product of consecutive value gaps) and
+    every pairing is nonzero: exactly the draws every ordering accepts.
+
+    Block j holds values[j] on comp[j] inner blocks, so boundary b pairs to
+    d * (prefix_b - b * mean); j brings b from its left edge (S nonempty)
+    through its interior, whose prefix depends on S, j and the offset only.
+    """
+    m = len(comp)
+    if len(set(values)) < m:
+        return None
+    mean = sum(c * v for c, v in zip(comp, values)) / sum(comp)
+    out = {}
+    for S in range(1 << m):
+        inside = [l for l in range(m) if S >> l & 1]
+        prefix = sum(comp[l] * values[l] for l in inside)
+        offset = sum(comp[l] for l in inside)
+        for j in set(range(m)).difference(inside):
+            xs = [prefix + i * values[j] - (offset + i) * mean
+                  for i in range(0 if S else 1, comp[j])]
+            if not all(xs):
+                return None
+            out[S, j] = xs
+    return out
+
+
 def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
                          field: NumberFieldData, seed: int = 0) -> mp.mpf:
     """Value at 0 of the arrangement-summed local family for one Levi class.
 
-    Sums over all orderings of the coarse blocks; each term carries the
-    full set of minimal-level tower factors (one per fine coweight,
-    paired against the block-constant direction) over the coarse pairing
-    product.  The removable pole has order (number of blocks - 1).
+    held_karp sums over all orderings of the coarse blocks the full set of
+    minimal-level tower factors (one per fine coweight, paired against the
+    block-constant direction, as _coarse_pairings gives them) over the
+    coarse pairing product.  The removable pole has order (blocks - 1).
     """
-    m = len(comp)
-    r = sum(comp)
+    m, r = len(comp), sum(comp)
     local_value = z_s_local_jet(d, places, d, 1, field).coeff(0)
     if m == 1:
         return local_value ** (r - 1)
-    fine_coweights = simple_data(base_profile(d, r)).coweights
     rng = random.Random(f"coarse:{seed}:{d}:{comp}:{places.label()}")
-
-    def draw():
-        for _ in range(256):
-            vals = tuple(Q(rng.randint(1, 999) * rng.choice((1, -1)),
-                           rng.randint(1, 9)) for _ in range(m))
-            ok = True
-            for sigma in permutations(range(m)):
-                prof = BlockProfile(d, tuple(comp[i] for i in sigma))
-                vec = tuple(v for i in sigma for v in (vals[i],) * (d * comp[i]))
-                if theta_factor(prof).rational_part(vec) == 0:
-                    ok = False
-                    break
-                if any(pairing(vec, w) == 0 for w in fine_coweights):
-                    ok = False
-                    break
-            if ok:
-                return vals
+    for _ in range(256):
+        values = tuple(Q(rng.randint(1, 999) * rng.choice((1, -1)),
+                         rng.randint(1, 9)) for _ in range(m))
+        pairings = _coarse_pairings(comp, values)
+        if pairings is not None:
+            break
+    else:
         raise RuntimeError("could not draw a generic coarse direction")
+    tower = z_s_local_jet(d, places, d, m, field)
+    one = Jet.polynomial({0: 1})
 
-    vals = draw()
-    k = m - 1
-    tower = z_s_local_jet(d, places, d, k + 1, field)
-    total = Jet.polynomial({})
-    for sigma in permutations(range(m)):
-        prof = BlockProfile(d, tuple(comp[i] for i in sigma))
-        vec = tuple(v for i in sigma for v in (vals[i],) * (d * comp[i]))
-        th = theta_factor(prof)
-        jet = Jet.polynomial({0: 1})
-        for w in fine_coweights:
-            jet = jet * tower.scale_arg(pairing(vec, w) / Q(d))
-        total = total + jet.scale(th.covolume() / to_mpf(th.rational_part(vec)))
-    return div_by_monomial(total, k, tolerance(),
-                           f"coarse family {comp}").coeff(0)
+    def after(S):
+        return lambda j: prod((tower.scale_arg(x) for x in pairings[S, j]),
+                              start=one)
+
+    covol = sqrt_fraction(Q(d * r, d ** m * prod(comp)))
+    analytic, _ = split_pole(held_karp(values, after).scale(covol), m - 1,
+                             f"coarse family {comp}")
+    return analytic.coeff(0)
 
 
 def unit_expansion_residual(d: int, r: int, places: PlaceSet,

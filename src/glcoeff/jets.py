@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numeric import to_mpf
+from .numeric import to_mpf, tolerance
 from .rootdata import pairing
 
 EXACT = 1 << 60
@@ -24,7 +24,7 @@ EXACT = 1 << 60
 class CancellationError(ArithmeticError):
     """A Laurent tail that should have cancelled did not.
 
-    Raised by div_by_monomial; carries the offending relative residual.
+    Raised by split_pole; carries the offending relative residual.
     This is the principal bug detector of the whole package: a residual
     above tolerance means some identity guaranteeing holomorphy failed.
     """
@@ -189,38 +189,27 @@ def strip_leading_zeros(jet: Jet) -> Jet:
     return Jet(low, coeffs, jet.trunc)
 
 
-def split_monomial(jet: Jet, k: int) -> tuple[Jet, mp.mpf]:
-    """Divide by t^k, discarding the (supposedly zero) negative orders.
+def split_pole(jet: Jet, k: int, where: str = "") -> tuple[Jet, mp.mpf]:
+    """Divide by t^k; the exposed negative orders must cancel.
 
     Returns the analytic part and the relative residual of the discarded
     coefficients, measured against the largest coefficient of the input
-    (floored at 1 so an all-tiny jet cannot mask a real failure).
+    (floored at 1 so an all-tiny jet cannot mask a real failure).  A
+    residual above numeric.tolerance() raises CancellationError: an
+    identity that should have made the pole removable did not hold.
     """
     shifted = jet.shift(-k)
-    scale_ref = max(jet.scale_norm(), mp.mpf(1))
     residual = mp.mpf(0)
     for order in range(shifted.low, min(0, shifted.stored_high)):
         residual = max(residual, abs(shifted.coeff(order)))
-    residual /= scale_ref
+    residual /= max(jet.scale_norm(), mp.mpf(1))
+    if residual > tolerance():
+        raise CancellationError(residual, where)
     low = max(shifted.low, 0)
     if shifted.trunc != EXACT and shifted.trunc < low:
         return Jet(shifted.trunc, (), shifted.trunc), residual
     coeffs = tuple(shifted.coeff(i) for i in range(low, max(shifted.stored_high, low)))
     return Jet(low, coeffs, shifted.trunc), residual
-
-
-def div_by_monomial(jet: Jet, k: int, tol, where: str = "") -> Jet:
-    """Shift orders down by k; the exposed negative orders must vanish.
-
-    A relative residual above tol raises CancellationError: an identity
-    that should have made the pole removable did not hold.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    analytic, residual = split_monomial(jet, k)
-    if residual > to_mpf(tol):
-        raise CancellationError(residual, where)
-    return analytic
 
 
 def exp_jet(arg: Jet, order: int | None = None) -> Jet:

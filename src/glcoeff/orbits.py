@@ -37,11 +37,6 @@ class Partition:
         return sum(self.parts)
 
     @classmethod
-    def zero_orbit(cls, m: int) -> "Partition":
-        """Jordan type of the zero matrix of gl(m)."""
-        return cls((1,) * m)
-
-    @classmethod
     def block_regular(cls, d: int, r: int) -> "Partition":
         """The orbit with d Jordan blocks of size r."""
         return cls((r,) * d)

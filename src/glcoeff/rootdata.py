@@ -95,11 +95,6 @@ class BlockProfile:
     def sizes(self) -> tuple[int, ...]:
         return tuple(self.d * p for p in self.parts)
 
-    def refines(self, other: "BlockProfile") -> bool:
-        if self.n != other.n:
-            return False
-        return set(_boundaries(other.sizes)) <= set(_boundaries(self.sizes))
-
 
 def group_profile(d: int, r: int) -> BlockProfile:
     return BlockProfile(d, (r,))

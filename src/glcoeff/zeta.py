@@ -265,23 +265,18 @@ def zeta_jet(center, order: int) -> Jet:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    return _zeta_jet_cached(Fraction(center), int(order), mp.mp.prec)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _zeta_jet_cached(center: Fraction, order: int, prec: int) -> Jet:
-    with mp.workprec(prec):
-        threshold = _tail_threshold()
-        m_terms = max(8, (prec + 40) // 6)
-        n_cut = max(2 * m_terms, 2 * order + 10, 32)
-        for _ in range(8):
-            jet, omitted = _euler_maclaurin_zeta(center, order, n_cut, m_terms)
-            if omitted <= threshold:
-                return jet
-            n_cut *= 2
-        raise PrecisionBudgetError(
-            f"zeta jet at {center}: Euler-Maclaurin tail stuck at "
-            f"{mp.nstr(omitted, 5)} > {mp.nstr(threshold, 5)}")
+    center = Fraction(center)
+    threshold = _tail_threshold()
+    m_terms = max(8, (mp.mp.prec + 40) // 6)
+    n_cut = max(2 * m_terms, 2 * order + 10, 32)
+    for _ in range(8):
+        jet, omitted = _euler_maclaurin_zeta(center, order, n_cut, m_terms)
+        if omitted <= threshold:
+            return jet
+        n_cut *= 2
+    raise PrecisionBudgetError(
+        f"zeta jet at {center}: Euler-Maclaurin tail stuck at "
+        f"{mp.nstr(omitted, 5)} > {mp.nstr(threshold, 5)}")
 
 
 def _euler_maclaurin_zeta(c: Fraction, order: int, n_cut: int, m_terms: int):

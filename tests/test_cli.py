@@ -270,13 +270,13 @@ def test_runtime_failure_exits_2(capsys, monkeypatch):
 def test_route_disagreement_exits_2(capsys, monkeypatch, command):
     """A route disagreement takes main's one error path: an error line on
     stderr, nothing on stdout, exit 2."""
-    derivative = coefficients.arthur_derivative_value
+    lower = coefficients.c
 
     def perturbed(*args):
-        rv = derivative(*args)
+        rv = lower(*args)
         return RouteValue(rv.value + mp.mpf("1e-6"), rv.residual, rv.route)
 
-    monkeypatch.setattr(coefficients, "arthur_derivative_value", perturbed)
+    monkeypatch.setattr(coefficients, "c", perturbed)
     code, out, err = run_cli(capsys, command, "--d", "1", "--r", "3")
     assert code == 2
     assert out == ""

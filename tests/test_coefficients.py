@@ -7,7 +7,9 @@ assembled expansion evaluated on the unit function.
 import ast
 import concurrent.futures
 import pathlib
+import random
 from fractions import Fraction as Q
+from itertools import permutations
 
 import mpmath as mp
 import pytest
@@ -22,12 +24,12 @@ from glcoeff.coefficients import (ROUTE_NAMES, J_o_unit,
                                   unit_expansion_residual)
 from glcoeff.gmfamily import (RouteValue, SmoothGerm, draw_generic_direction,
                               symmetrized_value)
-from glcoeff.jets import LinearFactor
-from glcoeff.numeric import tolerance, working
+from glcoeff.jets import Jet, LinearFactor, split_pole
+from glcoeff.numeric import to_mpf, tolerance, working
 from glcoeff.orbits import (LeviDatum, Partition, enumerate_inducing_pairs,
                             partitions)
 from glcoeff.rootdata import (BlockProfile, base_profile, enumerate_parabolics,
-                              group_profile, simple_data)
+                              group_profile, pairing, simple_data, theta_factor)
 from glcoeff.zeta import (EMPTY_PLACES, RATIONAL_FIELD, NumberFieldData,
                           PlaceSet, ProviderError, vol_minimal_levi,
                           z_s_local_jet)
@@ -79,7 +81,7 @@ def test_diagnostics_record_all_routes():
         res = a_coefficient(BlockProfile(1, (2, 1)))
     routes = res.diagnostics["routes"]
     assert set(routes) == {"symmetrized", "alternating-upper",
-                           "alternating-lower", "derivative"}
+                           "alternating-lower"}
     assert res.diagnostics["max_disagreement"] < mp.mpf(2) ** -40
     assert set(res.diagnostics["residuals"]) == set(routes)
     assert res.diagnostics["direction_seed"] == 0
@@ -178,13 +180,13 @@ def test_unit_value_gl1_and_gl2():
 
 
 def test_unit_value_checks_every_route(monkeypatch):
-    derivative = coefficients.arthur_derivative_value
+    lower = coefficients.c
 
     def perturbed(*args):
-        rv = derivative(*args)
+        rv = lower(*args)
         return RouteValue(rv.value + mp.mpf("1e-6"), rv.residual, rv.route)
 
-    monkeypatch.setattr(coefficients, "arthur_derivative_value", perturbed)
+    monkeypatch.setattr(coefficients, "c", perturbed)
     with working(128):
         with pytest.raises(RouteDisagreementError):
             J_o_unit(1, 3)
@@ -203,6 +205,7 @@ def test_unit_value_is_direction_independent():
     (1, 3, "2"),
     (1, 3, "2,3"),
     (2, 2, "2,3"),
+    (1, 7, "2"),
 ])
 def test_expansion_of_the_unit_function(d, r, places):
     """End to end: the ambient regularized value equals the weighted sum
@@ -210,6 +213,90 @@ def test_expansion_of_the_unit_function(d, r, places):
     with working(192):
         gap = unit_expansion_residual(d, r, PlaceSet.parse(places))
         assert gap < mp.mpf("1e-40")
+
+
+def _coarse_generic_by_orderings(d, comp, values):
+    """The oracle of _coarse_pairings: theta over the coarse coroots and
+    every fine-coweight pairing are nonzero in each of the m! orderings."""
+    fine = simple_data(base_profile(d, sum(comp))).coweights
+    for sigma in permutations(range(len(comp))):
+        prof = BlockProfile(d, tuple(comp[i] for i in sigma))
+        vec = tuple(v for i in sigma for v in (values[i],) * (d * comp[i]))
+        if theta_factor(prof).rational_part(vec) == 0:
+            return False
+        if any(pairing(vec, w) == 0 for w in fine):
+            return False
+    return True
+
+
+def _coarse_family_by_orderings(d, comp, places, seed=0):
+    """The oracle of _coarse_family_value: the m!-checked draw, its
+    rejected candidates, and the sum over every ordering of the coarse
+    blocks of the fine tower product over the coarse theta."""
+    m, r = len(comp), sum(comp)
+    rng = random.Random(f"coarse:{seed}:{d}:{comp}:{places.label()}")
+    rejected = []
+    while True:
+        values = tuple(Q(rng.randint(1, 999) * rng.choice((1, -1)),
+                         rng.randint(1, 9)) for _ in range(m))
+        if _coarse_generic_by_orderings(d, comp, values):
+            break
+        rejected.append(values)
+    fine = simple_data(base_profile(d, r)).coweights
+    tower = z_s_local_jet(d, places, d, m)
+    total = Jet.polynomial({})
+    for sigma in permutations(range(m)):
+        prof = BlockProfile(d, tuple(comp[i] for i in sigma))
+        vec = tuple(v for i in sigma for v in (values[i],) * (d * comp[i]))
+        th = theta_factor(prof)
+        jet = Jet.polynomial({0: 1})
+        for w in fine:
+            jet = jet * tower.scale_arg(pairing(vec, w) / d)
+        total = total + jet.scale(th.covolume() / to_mpf(th.rational_part(vec)))
+    analytic, _ = split_pole(total, m - 1)
+    return values, rejected, analytic.coeff(0)
+
+
+@pytest.mark.parametrize("d,r", [(1, r) for r in range(2, 8)]
+                         + [(2, 2), (2, 3)])
+def test_coarse_family_matches_the_ordering_sum(d, r):
+    """The Held-Karp coarse family equals the permutation sum on every
+    partition of r, and its draw accepts the same direction values as the
+    m!-checked one.  At r = 7 the sum over 5040 orderings runs with one
+    place set, the one the unit-expansion test uses."""
+    worst = mp.mpf(0)
+    with working(256):
+        for comp in partitions(r):
+            if len(comp) == 1:
+                continue
+            for label in ("2",) if r == 7 else ("", "2", "2,3,5"):
+                places = PlaceSet.parse(label)
+                values, rejected, slow = _coarse_family_by_orderings(
+                    d, comp, places)
+                assert coefficients._coarse_pairings(comp, values) is not None
+                for candidate in rejected:
+                    assert coefficients._coarse_pairings(comp, candidate) is None
+                fast = coefficients._coarse_family_value(d, comp, places,
+                                                         RATIONAL_FIELD)
+                worst = max(worst, abs(fast - slow) / max(1, abs(slow)))
+        assert worst < tolerance()
+
+
+@pytest.mark.parametrize("d,comp", [(1, (1, 1, 1)), (1, (2, 1)),
+                                    (2, (2, 1, 1)), (1, (1, 1, 1, 1))])
+def test_coarse_draw_check_matches_the_ordering_check(d, comp):
+    """On small integer values, where collisions and vanishing pairings
+    are common, _coarse_pairings accepts exactly what the check of every
+    ordering accepts."""
+    rng = random.Random(f"{d}:{comp}")
+    verdicts = set()
+    for _ in range(200):
+        values = tuple(Q(rng.randint(-3, 3)) for _ in comp)
+        accepted = _coarse_generic_by_orderings(d, comp, values)
+        assert (coefficients._coarse_pairings(comp, values) is not None) \
+            == accepted, values
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 def test_expansion_terms_follow_the_enumeration():
@@ -367,8 +454,6 @@ def test_block_routes_match_their_enumerations(d, r):
             g, lv, dr, False, "alternating-upper"),
         "alternating-lower": lambda g, lv, dr: gm._alternating_sum(
             g, lv, dr, True, "alternating-lower"),
-        "derivative": lambda g, lv, dr: gm._alternating_sum(
-            g, lv, dr, False, "derivative", checked=False),
     }
     worst = mp.mpf(0)
     with working(256):
@@ -460,8 +545,24 @@ def test_routes_run_from_two_places_only():
     assert total == 2
 
 
-def test_four_routes_agree_on_gl8():
+def test_three_routes_agree_on_gl8():
     with working(256):
         res = a_coefficient(group_profile(1, 8))
-        assert len(res.diagnostics["routes"]) == 4
+        assert len(res.diagnostics["routes"]) == 3
         assert res.diagnostics["max_disagreement"] < tolerance()
+
+
+def test_one_read_off_and_no_unchecked_route():
+    """No function of the package takes a `checked` flag, so every route
+    reads its pole off through jets.split_pole, and coefficients sums no
+    ordering by permutations."""
+    for path in sorted(pathlib.Path(glcoeff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs]
+                assert "checked" not in names, f"{path.stem}: {node}"
+            if isinstance(node, ast.ImportFrom) and path.stem == "coefficients":
+                assert "permutations" not in [a.name for a in node.names]

@@ -1,4 +1,4 @@
-"""Tests for the germ evaluation engine: the four limit routes, genericity
+"""Tests for the germ evaluation engine: the three limit routes, genericity
 certificates, and the structural invariants that tie them together."""
 
 import random
@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 
 from glcoeff import gmfamily as gm
+from glcoeff import jets
 from glcoeff.gmfamily import (
     GenericDirection,
     NotGenericError,
@@ -29,7 +30,7 @@ from glcoeff.rootdata import (BlockProfile, base_profile, block_permutations,
 
 Q = Fraction
 
-ROUTES = (tilde_c, c, symmetrized_value, arthur_derivative_value)
+ROUTES = (tilde_c, c, symmetrized_value)
 
 
 def random_germ(rng, n):
@@ -309,7 +310,7 @@ def test_unachievable_tolerance_raises(monkeypatch):
     with working(128):
         residual = tilde_c(germ, level, direction).residual
         assert residual > 0
-        monkeypatch.setattr(gm, "tolerance", lambda: mp.mpf(0))
+        monkeypatch.setattr(jets, "tolerance", lambda: mp.mpf(0))
         with pytest.raises(CancellationError):
             tilde_c(germ, level, direction)
 
@@ -341,8 +342,6 @@ ORACLES = {
                                                    "alternating-upper"),
     c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, True,
                                              "alternating-lower"),
-    arthur_derivative_value: lambda g, lv, dr: gm._alternating_sum(
-        g, lv, dr, False, "derivative", checked=False),
 }
 
 
@@ -398,29 +397,29 @@ def test_germ_off_the_coweights_takes_the_enumeration(monkeypatch):
     with working(160):
         values = [route(germ, level, direction).value for route in ROUTES]
         assert spread(values) < tolerance()
-    assert sorted(called) == ["_alternating_sum"] * 3 + ["_symmetrized_sum"]
+    assert sorted(called) == ["_alternating_sum"] * 2 + ["_symmetrized_sum"]
 
 
 def test_block_routes_check_cancellation(monkeypatch):
     """The route jet of a product germ on the group must cancel below its
-    pole order; the derivative route divides by nothing and never checks."""
+    pole order; the derivative identity reports no residual of its own."""
     level = BlockProfile(1, (4,))
     germ = random_product_germ(random.Random(4), level)
     assert gm._product_terms(germ, level) is not None
     direction = draw_generic_direction(1, (4,), seed=1)
     with working(128):
         assert tilde_c(germ, level, direction).residual > 0
-        monkeypatch.setattr(gm, "tolerance", lambda: mp.mpf(0))
-        for route in (symmetrized_value, tilde_c, c):
+        assert arthur_derivative_value(germ, level, direction).residual == 0
+        monkeypatch.setattr(jets, "tolerance", lambda: mp.mpf(0))
+        for route in ROUTES:
             with pytest.raises(CancellationError):
                 route(germ, level, direction)
-        assert arthur_derivative_value(germ, level, direction).residual == 0
 
 
 def test_derivative_route_is_tilde_c_read_unchecked():
-    """The derivative route reads coefficient k of the upper alternating
-    sum without the cancellation check, so it equals tilde_c bit for bit,
-    on a product germ (group route) and on a random germ (enumeration)."""
+    """arthur_derivative_value is tilde_c's value relabelled, with
+    residual 0, on a product germ (group route) and on a random germ
+    (enumeration)."""
     rng = random.Random(8)
     group, levi = BlockProfile(1, (4,)), BlockProfile(2, (2, 1))
     cases = ((random_product_germ(rng, group), group),
@@ -432,3 +431,4 @@ def test_derivative_route_is_tilde_c_read_unchecked():
             derivative = arthur_derivative_value(germ, level, direction)
             assert derivative.value == tilde_c(germ, level, direction).value
             assert derivative.residual == 0
+            assert derivative.route == "derivative"

@@ -4,8 +4,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from glcoeff.jets import (CancellationError, EXACT, Jet, div_by_monomial,
-                          exp_jet, split_monomial, strip_leading_zeros)
+from glcoeff.jets import (CancellationError, EXACT, Jet, exp_jet, split_pole,
+                          strip_leading_zeros)
 from glcoeff.numeric import working
 
 
@@ -100,13 +100,17 @@ def test_strip_leading_zeros():
 
 
 def test_split_monomial_and_division():
+    """split_pole checks against numeric.tolerance(), 2^-(requested // 2):
+    below 1e-20 at 192 bits and 1e-8 at 64, above 1e-3 at 16."""
     jet = Jet(0, (mp.mpf(0), mp.mpf(0), mp.mpf(3), mp.mpf(1)), 5)
-    out = div_by_monomial(jet, 2, tol=1e-20)
+    with working(192):
+        out, _ = split_pole(jet, 2)
     assert out.low == 0 and abs(out.coeff(0) - 3) < 1e-15
     dirty = Jet(0, (mp.mpf("1e-3"), mp.mpf(2)), 4)
-    with pytest.raises(CancellationError):
-        div_by_monomial(dirty, 1, tol=1e-8)
-    analytic, resid = split_monomial(dirty, 1)
+    with working(64), pytest.raises(CancellationError):
+        split_pole(dirty, 1)
+    with working(16):
+        analytic, resid = split_pole(dirty, 1)
     assert resid > 1e-8
     assert abs(analytic.coeff(0) - 2) < 1e-15
 

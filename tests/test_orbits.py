@@ -18,7 +18,6 @@ def test_partition_basics():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((2, 0))
-    assert Partition.zero_orbit(4) == Partition((1, 1, 1, 1))
     assert Partition.block_regular(3, 2) == Partition((2, 2, 2))
 
 

@@ -39,8 +39,6 @@ def test_profile_validation():
         BlockProfile(0, (1,))
     p = BlockProfile(3, (2, 1))
     assert p.n == 9 and p.sizes == (6, 3)
-    assert base_profile(3, 3).refines(p)
-    assert not p.refines(base_profile(3, 3))
 
 
 def test_gl2_coroot_and_coweight():

@@ -152,7 +152,11 @@ def test_every_cache_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_parameters"):
                 caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
-    assert len(caches) >= 7
+    assert set(caches) == {"coefficients._tower_cached",
+                           "coefficients._tower_ratio_cached",
+                           "coefficients._tower_value_cached",
+                           "zeta._gamma_jet_cached", "zeta._xi_jet_file",
+                           "zeta._xi_jet_q"}
     assert all(size is not None for size in caches.values()), caches
 
 
