@@ -22,7 +22,7 @@ import mpmath as mp
 from .coefficients import (expansion, prolongation_identity_residuals,
                            unit_expansion_residual)
 from .gmfamily import SmoothGerm, c, draw_generic_direction, tilde_c
-from .numeric import (MIN_PREC, decimal_str, default_prec, parse_exact,
+from .numeric import (DEFAULT_PREC, MIN_PREC, decimal_str, parse_exact,
                       tolerance, tolerance_exponent, working)
 from .orbits import (LeviDatum, Partition, enumerate_inducing_pairs, induce,
                      induced_type_oracle, partitions, search_inducing_pairs)
@@ -38,7 +38,7 @@ Q = Fraction
 class RunConfig:
     """Reproducibility envelope echoed verbatim into every output."""
 
-    precision_bits: int = 256
+    precision_bits: int = DEFAULT_PREC
     seed: int = 0
     field: str = "Q"
 
@@ -48,11 +48,11 @@ class RunConfig:
 
 
 def _config_from_args(args) -> RunConfig:
-    prec = args.prec if args.prec is not None else default_prec()
-    if prec < MIN_PREC:
-        raise ValueError(f"--prec must be at least {MIN_PREC} bits, got {prec}")
+    if args.prec < MIN_PREC:
+        raise ValueError(f"--prec must be at least {MIN_PREC} bits, "
+                         f"got {args.prec}")
     return RunConfig(
-        precision_bits=prec,
+        precision_bits=args.prec,
         seed=args.seed,
         field=args.field,
     )
@@ -475,8 +475,9 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 
 def _add_common(sp) -> None:
-    sp.add_argument("--prec", type=int, default=None,
-                    help="binary precision (default 256, or ARTHUR_COEFF_PREC)")
+    sp.add_argument("--prec", type=int, default=DEFAULT_PREC,
+                    help=f"binary precision, at least {MIN_PREC} "
+                         f"(default {DEFAULT_PREC})")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the generic direction draws")
     sp.add_argument("--field", default="Q",

@@ -21,21 +21,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, prod
 
 import mpmath as mp
 
 from .gmfamily import (GenericDirection, RouteValue, SmoothGerm, c,
-                       draw_generic_direction, held_karp, symmetrized_value,
-                       tilde_c)
+                       draw_generic_direction, held_karp, interval_pairings,
+                       symmetrized_value, tilde_c)
 from .jets import Jet, LinearFactor, split_pole
 from .numeric import (requested_prec, sqrt_fraction, to_mpf, tolerance,
                       working)
 from .orbits import (LeviDatum, Partition, block_pair,
                      enumerate_inducing_pairs, induce, partitions)
 from .rootdata import (BlockProfile, base_profile, group_profile,
-                       hat_theta_factor, pairing, project, simple_data,
-                       theta_factor)
+                       hat_theta_factor, simple_data, theta_factor)
 from .zeta import (CACHE_SIZE, EMPTY_PLACES, NumberFieldData, PlaceSet,
                    _resolve_field, vol_block_levi, vol_group, vol_minimal_levi,
                    z_s_local_jet, ztilde_jet, ztilde_s_jet)
@@ -269,6 +269,21 @@ def _tower_value_cached(d: int, shift: Fraction, field: NumberFieldData,
     return ztilde_jet(d, d + shift, 1, field).coeff(0)
 
 
+def _upper_pairings(P: BlockProfile, values) -> tuple[list, list]:
+    """(xs, ys): the pairings over d of the upper projection of lam on P
+    with the coweights of the boundaries inside P's blocks (nonzero,
+    certified) and of all r - 1 inner boundaries (zero at P's block
+    edges, harmless).  Inside a P-block [s, e) they are the upper pairings
+    of the level merging [s, e) alone."""
+    edges = list(accumulate(P.parts, initial=0))
+    prefix = list(accumulate(values, initial=Q(0)))
+    upper = {}
+    for s, e in zip(edges, edges[1:]):
+        upper.update(interval_pairings(1, prefix, s, e)[0])
+    return ([upper[i] for i in range(1, P.r) if i not in edges],
+            [upper[i] for i in range(1, P.r)])
+
+
 def prolongation_identity_residuals(P: BlockProfile,
                                     field: NumberFieldData | None = None,
                                     seed: int = 0,
@@ -283,20 +298,15 @@ def prolongation_identity_residuals(P: BlockProfile,
     """
     field = _resolve_field(field)
     d, r = P.d, P.r
-    base = base_profile(d, r)
-    cw_P = simple_data(base, P).coweights
-    cw_G = simple_data(base).coweights
     th = theta_factor(P)
-    hat = hat_theta_factor(base, P)
+    hat = hat_theta_factor(base_profile(d, r), P)
     const = _j_tilde_prefactor(d, r, field)
     vol_P = vol_block_levi(P, field)
     out = []
-    for i in range(samples):
-        direction = draw_generic_direction(d, (r,), seed, salt=i)
+    for sample in range(samples):
+        direction = draw_generic_direction(d, (r,), seed, salt=sample)
         lam = direction.vector
-        upper, _ = project(lam, P)
-        xs = [pairing(upper, w) / d for w in cw_P]      # nonzero, certified
-        ys = [pairing(upper, w) / d for w in cw_G]      # may vanish, harmless
+        xs, ys = _upper_pairings(P, direction.values)
         bound = max((abs(v) for v in xs + ys), default=Q(0))
         # keep every tower argument within 1/2 of the center; the minimal
         # parabolic with singleton blocks projects to zero and needs none

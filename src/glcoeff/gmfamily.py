@@ -23,12 +23,16 @@ and is kept only as that identity.
 Product germs on the group take polynomial routes.  A germ is in product
 form when the level is the group and every factor of every term pairs
 lambda with one of its coweights, checked by exact equality of forms, as
-the coefficient germs are.  Then the symmetrized route is a Held-Karp sum
-over (set of leading inner blocks, last block), r * 2^r jet products, and
-the alternating routes are a chain over the last P-interval, O(r^3) jet
-operations.  Every other germ, those on a Levi level included, goes
-through the enumerations over the Weyl group and the 2^(r-1)
-intermediate levels, kept as the oracles of the group routes.
+the coefficient germs are.  Then every pairing is a partial sum of the
+direction's r block values, so these routes build no vector: the
+symmetrized route is a Held-Karp sum over (set of leading inner blocks,
+last block), r * 2^r jet products, and the alternating routes are a
+chain over the last P-interval, O(r^3) jet operations, whose hat theta
+is the product of the interior upper pairings.  Every other germ, those
+on a Levi level included, goes through the enumerations over the Weyl
+group and the 2^(r-1) intermediate levels.  They pair vectors with
+coweights and share no pairing code with the group routes, whose
+oracles they are.
 `held_karp` is the one ordering sum of the package; the coarse-block
 family of `coefficients` runs through it too.
 
@@ -45,15 +49,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations, product
-from math import factorial
+from math import factorial, prod
 import random
 
 import mpmath as mp
 
-from .jets import Jet, LinearFactor, compose_linear, split_pole
+from .jets import (Jet, LinearFactor, compose_linear, exp_linear_jet,
+                   split_pole)
 from .numeric import sqrt_fraction, to_mpf
 from .rootdata import (BlockProfile, base_profile, block_permutations,
-                       compositions, epsilon, hat_theta_factor,
+                       compositions, epsilon, hat_theta_factor, pairing,
                        permute_blocks, project, simple_data, theta_factor)
 
 Q = Fraction
@@ -65,13 +70,6 @@ class NotGenericError(ValueError):
 
 # ---------------------------------------------------------------------------
 # germs
-
-
-def _exp_unit_jet(order: int) -> Jet:
-    out = [mp.mpf(1)]
-    for k in range(1, order):
-        out.append(out[-1] / k)
-    return Jet(0, tuple(out), order)
 
 
 @dataclass(frozen=True)
@@ -91,18 +89,9 @@ class SmoothGerm:
     def line_jet(self, lam0: tuple, order: int) -> Jet:
         total = Jet.polynomial({})
         for coef, factors in self.terms:
-            jet = compose_linear(factors, lam0, order)
-            total = total + jet.scale(coef)
+            rates = [f.rate_scale * pairing(lam0, f.form) for f in factors]
+            total = total + compose_linear(factors, rates, order).scale(coef)
         return total.truncate(order)
-
-    def value_at_zero(self):
-        acc = mp.mpf(0)
-        for coef, factors in self.terms:
-            prod = to_mpf(coef)
-            for f in factors:
-                prod *= f.scalar_jet(1).coeff(0)
-            acc += prod
-        return acc
 
     # -- algebra ----------------------------------------------------------
 
@@ -121,17 +110,6 @@ class SmoothGerm:
         return SmoothGerm(tuple((c * coef, fs) for coef, fs in self.terms),
                           self.label)
 
-    def block_permuted(self, d: int, sigma: tuple[int, ...]) -> "SmoothGerm":
-        """The germ composed with the block permutation sigma."""
-        out = []
-        for coef, factors in self.terms:
-            moved = tuple(
-                LinearFactor(f.scalar_jet, permute_blocks(d, sigma, f.form),
-                             f.rate_scale)
-                for f in factors)
-            out.append((coef, moved))
-        return SmoothGerm(tuple(out), self.label)
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -144,7 +122,7 @@ class SmoothGerm:
 
     @classmethod
     def exp_pairing(cls, form: tuple, scale=1) -> "SmoothGerm":
-        f = LinearFactor(_exp_unit_jet, tuple(form), Q(scale))
+        f = LinearFactor(partial(exp_linear_jet, 1), tuple(form), Q(scale))
         return cls.product((f,), label="exp")
 
     @classmethod
@@ -343,21 +321,53 @@ def held_karp(values, after) -> Jet:
     return _jet_sum(ends.values())
 
 
+def _boundary_jet(at, pairings: dict[int, Fraction], order: int) -> Jet:
+    """Jet of the product of the factors at[i] of each boundary i of
+    `pairings`, in order, each at its rate_scale times the pairing of
+    lambda with coweight i that `pairings` holds."""
+    return compose_linear([f for i in pairings for f in at[i]],
+                          [f.rate_scale * x for i, x in pairings.items()
+                           for f in at[i]], order)
+
+
+def leading_pairing(d: int, values, S: int) -> Fraction:
+    """The pairing of w lam with the coweight of boundary |S|, along any
+    ordering w of the inner blocks that puts the set S first:
+    d (sum of the values v over S - |S| mean v)."""
+    inside = [v for m, v in enumerate(values) if S >> m & 1]
+    mean = sum(values, Q(0)) / len(values)
+    return d * (sum(inside, Q(0)) - len(inside) * mean)
+
+
+def interval_pairings(d: int, prefix, s: int, e: int):
+    """({i: upper pairing}, {i: lower pairing}) of the coweights of the
+    boundaries i in (s, e] with the projections of lam on the level that
+    merges the inner blocks [s, e) alone, from the prefix sums P of lam's
+    block values (P_0 = 0 .. P_r).  With m = (P_e - P_s) / (e - s) they
+    are d (P_i - P_s - (i - s) m), zero at i = e, and
+    d (P_s + (i - s) m - i P_r / r)."""
+    m = (prefix[e] - prefix[s]) / (e - s)
+    mean = prefix[-1] / (len(prefix) - 1)
+    ups = {i: d * (prefix[i] - prefix[s] - (i - s) * m)
+           for i in range(s + 1, e + 1)}
+    return ups, {i: d * (prefix[s] + (i - s) * m - i * mean) for i in ups}
+
+
 def _symmetrized_block(direction: GenericDirection, at) -> Jet:
     """Weyl-symmetrized line jet of the group's r inner blocks.
 
     In an ordering w of the blocks, the coweight of boundary i pairs w lam
-    through the set S of the first i inner blocks only, and theta is the
-    product of consecutive gaps.  So held_karp sums the orderings, a block
-    after S bringing the boundary-|S| line jet along any w that puts S first.
+    through the set S of the first i inner blocks only (leading_pairing),
+    and theta is the product of consecutive gaps.  So held_karp sums the
+    orderings, a block after S bringing the boundary-|S| factors at that
+    pairing along any w that puts S first.
     """
-    d, lam0, values = direction.d, direction.vector, direction.values
+    d, values = direction.d, direction.values
     r = len(values)
 
     def after(S):
-        sigma = tuple(sorted(range(r), key=lambda m: not S >> m & 1))
-        tower = SmoothGerm.product(at[S.bit_count()]).line_jet(
-            permute_blocks(d, sigma, lam0), r)
+        i = S.bit_count()
+        tower = _boundary_jet(at, {i: leading_pairing(d, values, S)}, r)
         return lambda m: tower
 
     covol = sqrt_fraction(Q(d * r, d ** r))
@@ -371,31 +381,28 @@ def _alternating_block(direction: GenericDirection, at, lower: bool) -> Jet:
     The factors of the boundaries in (s, e] pair the projection of lam
     through the interval alone: the upper part vanishes on the other
     intervals, and the lower part keeps the prefix sums of lam at every
-    P-boundary.  So they are the line jet along the projection on the
-    level P_I that merges [s, e) only.  Hat theta, the covolumes and the
-    signs are products over the intervals, and theta^group_P couples
-    adjacent intervals through the gap of their means.  With one state
-    per last interval that is O(r^3) jet operations instead of 2^(r-1)
-    line jets.
+    P-boundary.  So their pairings are those of the level P_I that merges
+    [s, e) only, partial sums of the values (interval_pairings), and the
+    rational part of hat theta of P_I is the product of the interior upper
+    pairings.  Hat theta, the covolumes and the signs are products over
+    the intervals, and theta^group_P couples adjacent intervals through
+    the gap of their means.  With one state per last interval that is
+    O(r^3) jet operations instead of 2^(r-1) line jets.
     """
-    d, lam0 = direction.d, direction.vector
-    r = len(direction.values)
-    gaps = _mean_gaps(direction.values)
+    d, values = direction.d, direction.values
+    r = len(values)
+    prefix = list(accumulate(values, initial=Q(0)))
+    gaps = _mean_gaps(values)
     chain: dict[tuple[int, int], Jet] = {}
     for e in range(1, r + 1):
         for s in range(e):
             size = e - s
-            merged = BlockProfile(d, (1,) * s + (size,) + (1,) * (r - e))
-            upper, low_part = project(lam0, merged)
-            factors = tuple(f for i in range(s + 1, e + 1) for f in at[i])
-            jet = SmoothGerm.product(factors).line_jet(
-                low_part if lower else upper, r)
-            # hat theta of P_I (Gram determinant d^size / (d * size), see
-            # certify_direction for its pairings) times the interval's share
-            # 1/(d * size) of the theta^group_P Gram determinant
-            hat = Q(1)
-            for i in range(s + 1, e):
-                hat *= d * (i - s) * (e - i) * gaps[s, i, e] / size
+            ups, lows = interval_pairings(d, prefix, s, e)
+            jet = _boundary_jet(at, lows if lower else ups, r)
+            # hat theta of P_I (Gram determinant d^size / (d * size)) times
+            # the interval's share 1/(d * size) of the theta^group_P Gram
+            # determinant
+            hat = prod((ups[i] for i in range(s + 1, e)), start=Q(1))
             weight = sqrt_fraction(Q(d ** size, (d * size) ** 2)) / to_mpf(hat)
             if lower and size % 2 == 0:
                 weight = -weight  # epsilon(P_0, P), one interval at a time

@@ -16,7 +16,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .numeric import to_mpf, tolerance
-from .rootdata import pairing
 
 EXACT = 1 << 60
 
@@ -232,6 +231,15 @@ def exp_jet(arg: Jet, order: int | None = None) -> Jet:
     return Jet(0, tuple(out), order)
 
 
+def exp_linear_jet(rate, order: int) -> Jet:
+    """Jet of exp(rate*t) to truncation order `order`."""
+    rate = to_mpf(rate)
+    out = [mp.mpf(1)]
+    for j in range(1, order):
+        out.append(out[-1] * rate / j)
+    return Jet(0, tuple(out), order)
+
+
 @dataclass(frozen=True)
 class LinearFactor:
     """One factor f(rate_scale * <lam, form>) of a product of scalar functions.
@@ -246,18 +254,13 @@ class LinearFactor:
     form: tuple
     rate_scale: Fraction = Fraction(1)
 
-    def rate(self, lam0: tuple) -> Fraction:
-        return self.rate_scale * pairing(lam0, self.form)
 
-
-def compose_linear(factors, lam0, order: int) -> Jet:
-    """Jet in t of prod_i f_i(rate_i * t) on the line lam = t*lam0.
+def compose_linear(factors, rates, order: int) -> Jet:
+    """Jet in t of prod_i f_i(rate_i * t), one rate per factor.
 
     An empty product is the exact constant jet 1.
     """
     out = Jet.polynomial({0: 1})
-    for factor in factors:
-        rate = factor.rate(lam0)
-        base = factor.scalar_jet(order)
-        out = out * base.scale_arg(rate)
+    for factor, rate in zip(factors, rates, strict=True):
+        out = out * factor.scalar_jet(order).scale_arg(rate)
     return out

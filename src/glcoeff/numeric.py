@@ -10,7 +10,6 @@ for as long as possible.
 """
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -25,21 +24,10 @@ MIN_PREC = 16
 _requested: ContextVar[int | None] = ContextVar("requested_prec", default=None)
 
 
-def default_prec() -> int:
-    """Default binary precision; the ARTHUR_COEFF_PREC env var overrides it."""
-    raw = os.environ.get("ARTHUR_COEFF_PREC")
-    if raw is None:
-        return DEFAULT_PREC
-    prec = int(raw)
-    if prec < MIN_PREC:
-        raise ValueError(f"ARTHUR_COEFF_PREC must be at least {MIN_PREC} bits")
-    return prec
-
-
 def requested_prec() -> int:
-    """The prec of the innermost `working` block, else default_prec()."""
+    """The prec of the innermost `working` block, else DEFAULT_PREC."""
     prec = _requested.get()
-    return default_prec() if prec is None else prec
+    return DEFAULT_PREC if prec is None else prec
 
 
 @contextmanager

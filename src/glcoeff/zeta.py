@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .jets import Jet, exp_jet, strip_leading_zeros
+from .jets import Jet, exp_jet, exp_linear_jet, strip_leading_zeros
 from .numeric import requested_prec, sqrt_fraction, to_mpf
 from .rootdata import BlockProfile, base_profile, group_profile
 
@@ -185,12 +185,10 @@ class NumberFieldData:
         prime-power coefficients are checked for consistency, so a list
         that does not come from a degree-N Euler product is rejected.
         """
-        if self.is_rational:
-            if not is_prime(p):
-                raise ProviderError(f"{p} is not prime")
-            return (1, -1)
         if not is_prime(p):
             raise ProviderError(f"{p} is not prime")
+        if self.is_rational:
+            return (1, -1)
         coeffs = self.dirichlet_coefficients
         a = []
         q = 1
@@ -222,15 +220,6 @@ def _resolve_field(field: NumberFieldData | None) -> NumberFieldData:
 
 # ---------------------------------------------------------------------------
 # elementary jets
-
-
-def _exp_linear_jet(rate, order: int) -> Jet:
-    """Jet of exp(rate*t) to truncation order `order`."""
-    rate = to_mpf(rate)
-    out = [mp.mpf(1)]
-    for j in range(1, order):
-        out.append(out[-1] * rate / j)
-    return Jet(0, tuple(out), order)
 
 
 def _times_linear(jet: Jet, a, trunc: int) -> Jet:
@@ -282,21 +271,11 @@ def zeta_jet(center, order: int) -> Jet:
 def _euler_maclaurin_zeta(c: Fraction, order: int, n_cut: int, m_terms: int):
     c_mpf = to_mpf(c)
     pole = c == 1
-
-    coeffs = [mp.mpf(0)] * order
-    for k in range(1, n_cut):
-        term = mp.power(k, -c_mpf)
-        coeffs[0] += term
-        if k > 1:
-            neg_log = -mp.log(k)
-            for j in range(1, order):
-                term = term * neg_log / j
-                coeffs[j] += term
-    head = Jet(0, tuple(coeffs), order)
+    head = _dirichlet_jet((1,) * (n_cut - 1), c, order)
 
     # n_cut^-t; at the pole, dividing by t costs the piece n_cut^(1-s)/(s-1)
     # one order, so only this jet is built one order longer
-    exp_n = _exp_linear_jet(-mp.log(n_cut), order + 1 if pole else order)
+    exp_n = exp_linear_jet(-mp.log(n_cut), order + 1 if pole else order)
     n_pow_c = mp.power(n_cut, -c_mpf)
     if pole:
         pole_piece = exp_n.scale(mp.power(n_cut, 1 - c_mpf)).shift(-1)
@@ -436,7 +415,7 @@ def _xi_jet_q(c: Fraction, order: int, prec: int) -> Jet:
         internal = order + z_pole + g_pole
         zeta_part = zeta_jet(c, internal)
         gamma_part = gamma_jet(half, internal).scale_arg(Fraction(1, 2))
-        pi_part = _exp_linear_jet(-mp.log(mp.pi) / 2, internal).scale(
+        pi_part = exp_linear_jet(-mp.log(mp.pi) / 2, internal).scale(
             mp.power(mp.pi, -to_mpf(c) / 2))
         return (pi_part * zeta_part * gamma_part).truncate(order)
 
@@ -450,20 +429,18 @@ def _xi_jet_file(field: NumberFieldData, c: Fraction, order: int, prec: int) -> 
     # long coefficient sum stays below that resolution
     m_cut = len(field.dirichlet_coefficients)
     with mp.workprec(prec + 32 + m_cut.bit_length()):
-        zeta_part = _dirichlet_jet(field, c, order)
+        zeta_part = _dirichlet_jet(field.dirichlet_coefficients, c, order)
         r1, r2 = field.signature
         disc = abs(field.discriminant)
-        out = _exp_linear_jet(mp.log(disc) / 2, order).scale(
+        out = exp_linear_jet(mp.log(disc) / 2, order).scale(
             mp.power(disc, to_mpf(c) / 2))
         if r1:
-            real_factor = (_exp_linear_jet(-mp.log(mp.pi) / 2, order).scale(
-                mp.power(mp.pi, -to_mpf(c) / 2))
-                * gamma_jet(Fraction(1, 2) * c, order).scale_arg(Fraction(1, 2)))
+            real_factor = _gamma_r_jet(c, order)
             for _ in range(r1):
                 out = out * real_factor
         if r2:
             two_pi = 2 * mp.pi
-            cplx_factor = (_exp_linear_jet(-mp.log(two_pi), order).scale(
+            cplx_factor = (exp_linear_jet(-mp.log(two_pi), order).scale(
                 mp.power(two_pi, 1 - to_mpf(c)))
                 * gamma_jet(c, order))
             for _ in range(r2):
@@ -502,14 +479,17 @@ def _check_dirichlet_budget(field: NumberFieldData, c: Fraction, order: int):
             f"{requested_prec()} requested ({mp.mp.prec} working)")
 
 
-def _dirichlet_jet(field: NumberFieldData, c: Fraction, order: int) -> Jet:
-    """Truncated Dirichlet series jet (tail certified by the caller)."""
+def _dirichlet_jet(coeffs, c: Fraction, order: int) -> Jet:
+    """Jet of sum over n of coeffs[n - 1] * n^-s at s = c, over the given
+    coefficients only (any tail is the caller's to bound)."""
     c_mpf = to_mpf(c)
     out = [mp.mpf(0)] * order
-    for n, a in enumerate(field.dirichlet_coefficients, start=1):
+    for n, a in enumerate(coeffs, start=1):
         if a == 0:
             continue
-        term = a * mp.power(n, -c_mpf)
+        term = mp.power(n, -c_mpf)
+        if a != 1:  # every term of a zeta head sum skips the product
+            term *= a
         out[0] += term
         if n > 1:
             neg_log = -mp.log(n)
@@ -536,6 +516,13 @@ def _dirichlet_tail_bound(s, j: int, m_cut: int) -> mp.mpf:
 # local factors
 
 
+def _gamma_r_jet(c: Fraction, order: int) -> Jet:
+    """Jet of the real gamma factor pi^(-s/2) * Gamma(s/2) at s = c."""
+    return (exp_linear_jet(-mp.log(mp.pi) / 2, order).scale(
+        mp.power(mp.pi, -to_mpf(c) / 2))
+        * gamma_jet(Fraction(1, 2) * c, order).scale_arg(Fraction(1, 2)))
+
+
 def xi_local_jet(place, center, order: int,
                  field: NumberFieldData | None = None) -> Jet:
     """Jet of the local factor in its scalar argument at a rational center."""
@@ -546,16 +533,13 @@ def xi_local_jet(place, center, order: int,
         if not field.is_rational:
             raise ProviderError("archimedean local factors are only built in "
                                 "for the rationals")
-        out = (_exp_linear_jet(-mp.log(mp.pi) / 2, internal).scale(
-            mp.power(mp.pi, -to_mpf(center) / 2))
-            * gamma_jet(Fraction(1, 2) * center, internal).scale_arg(Fraction(1, 2)))
-        return out.truncate(order)
+        return _gamma_r_jet(center, internal).truncate(order)
     p = int(place)
     denom_poly = field.euler_factor(p)
-    x_jet = _exp_linear_jet(-mp.log(p), internal).scale(mp.power(p, -to_mpf(center)))
+    x_jet = exp_linear_jet(-mp.log(p), internal).scale(mp.power(p, -to_mpf(center)))
     if center == 0:
         # p^-center is exactly 1; rebuild so the cancellation at order 0 is exact
-        x_jet = _exp_linear_jet(-mp.log(p), internal)
+        x_jet = exp_linear_jet(-mp.log(p), internal)
     acc = Jet.polynomial({})
     for k in reversed(range(len(denom_poly))):
         acc = (acc * x_jet).truncate(internal) + Jet.polynomial({0: denom_poly[k]})
@@ -577,12 +561,19 @@ def z_jet(n: int, center, order: int, field: NumberFieldData | None = None) -> J
     return out.truncate(order)
 
 
+def _times_s_minus_n(n: int, center, jet: Jet, order: int) -> Jet:
+    """(s - n) * jet at s = center, cut to `order`; at center n the factor
+    is t itself, which removes the simple pole of the top factor."""
+    prefactor = strip_leading_zeros(
+        Jet.polynomial({0: Fraction(center) - n, 1: 1}))
+    return (prefactor * jet).truncate(order)
+
+
 def ztilde_jet(n: int, center, order: int, field: NumberFieldData | None = None) -> Jet:
     """Jet of (s - n) * z_n(s): the pole of the top factor is removed at
     center n, where the value is the tower's regularized volume constant."""
-    center = Fraction(center)
-    prefactor = strip_leading_zeros(Jet.polynomial({0: center - n, 1: 1}))
-    return (prefactor * z_jet(n, center, order + 1, field)).truncate(order)
+    return _times_s_minus_n(n, center, z_jet(n, center, order + 1, field),
+                            order)
 
 
 def z_s_local_jet(n: int, places: PlaceSet, center, order: int,
@@ -590,15 +581,12 @@ def z_s_local_jet(n: int, places: PlaceSet, center, order: int,
     """Jet of the product of local factors over the places of S,
     arguments s-n+1 .. s."""
     center = Fraction(center)
-    n_places = len(places.primes) + (1 if places.include_archimedean else 0)
-    internal = order + n * n_places + 2
+    tokens = places.primes + (("inf",) if places.include_archimedean else ())
+    internal = order + n * len(tokens) + 2
     out = Jet.polynomial({0: 1})
-    for p in places.primes:
+    for p in tokens:
         for j in range(1, n + 1):
             out = out * xi_local_jet(p, center - n + j, internal, field)
-    if places.include_archimedean:
-        for j in range(1, n + 1):
-            out = out * xi_local_jet("inf", center - n + j, internal, field)
     return out.truncate(order)
 
 
@@ -614,9 +602,8 @@ def z_s_jet(n: int, places: PlaceSet, center, order: int,
 def ztilde_s_jet(n: int, places: PlaceSet, center, order: int,
                  field: NumberFieldData | None = None) -> Jet:
     """Jet of (s - n) * z_n^S(s); analytic at center n."""
-    center = Fraction(center)
-    prefactor = strip_leading_zeros(Jet.polynomial({0: center - n, 1: 1}))
-    return (prefactor * z_s_jet(n, places, center, order + 1, field)).truncate(order)
+    return _times_s_minus_n(n, center,
+                            z_s_jet(n, places, center, order + 1, field), order)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Shape resolution, the JSON envelope, determinism, exit codes, and every
 verification suite at small rank.
 """
 import argparse
+import hashlib
 import json
 
 import mpmath as mp
@@ -121,6 +122,37 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
+# sha256 of the stdout of five fast benchmark commands: a refactor that
+# must keep every printed digit fails here if it moves one
+PINNED_STDOUT = [
+    (("coeff", "--d", "1", "--r", "5", "--S", "", "--prec", "256",
+      "--seed", "0"),
+     "a3be1e8c1ff08b5c4680ad2e9dc6ae18c64c8f3f92daeb2a2ebe38daefa78758"),
+    (("coeff", "--d", "2", "--r", "3", "--S", "2", "--prec", "256",
+      "--seed", "0"),
+     "2ed2ad7628daead51a8073510a4e18640779ff38c59592d8d58390191e823910"),
+    (("coeff", "--d", "1", "--r", "2", "--S", "inf", "--prec", "512",
+      "--seed", "1"),
+     "3a4d91006a9d46f4d7189d393988ab3270a4e7cf618a5227df6b0a3629de97e0"),
+    (("expansion", "--d", "2", "--r", "2", "--S", "2", "--prec", "256",
+      "--jobs", "1", "--seed", "0"),
+     "4a9593f90be91f5bae27389c6f7c6fe1d44dd2ae965999d071ef96c943271201"),
+    (("zeta", "--eval", "ztilde-s", "--at", "5/2", "--d", "2", "--S",
+      "3,inf", "--order", "6", "--prec", "512", "--seed", "0"),
+     "3841cf1e1cd01e834926182c7b872749eb656ee744248f45238f496e3761f9f2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=[" ".join(a[:5]) for a, _ in PINNED_STDOUT])
+def test_benchmark_stdout_is_pinned(capsys, argv, digest):
+    """Five benchmark commands print byte for byte what they printed when
+    the digests were recorded."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_doubling_precision_moves_values_little(capsys):
     _, low, _ = run_cli(capsys, "coeff", "--d", "1", "--r", "2",
                         "--prec", "128")
@@ -131,13 +163,6 @@ def test_doubling_precision_moves_values_little(capsys):
     with working(320):
         a, b = mp.mpf(row_low["a"]), mp.mpf(row_high["a"])
         assert abs(a - b) / abs(b) < mp.mpf(2) ** -120
-
-
-def test_env_var_sets_default_precision(capsys, monkeypatch):
-    monkeypatch.setenv("ARTHUR_COEFF_PREC", "96")
-    code, out, _ = run_cli(capsys, "coeff", "--d", "1", "--r", "1")
-    assert code == 0
-    assert json.loads(out)["config"]["precision_bits"] == 96
 
 
 def test_table_format(capsys):

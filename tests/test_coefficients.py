@@ -29,10 +29,12 @@ from glcoeff.numeric import to_mpf, tolerance, working
 from glcoeff.orbits import (LeviDatum, Partition, enumerate_inducing_pairs,
                             partitions)
 from glcoeff.rootdata import (BlockProfile, base_profile, enumerate_parabolics,
-                              group_profile, pairing, simple_data, theta_factor)
+                              group_profile, pairing, project, simple_data,
+                              theta_factor)
 from glcoeff.zeta import (EMPTY_PLACES, RATIONAL_FIELD, NumberFieldData,
                           PlaceSet, ProviderError, vol_minimal_levi,
                           z_s_local_jet)
+from test_gmfamily import value_at_zero
 
 # value of the top coefficient for GL(2) over the rationals:
 # (euler_gamma/2 - log(2) - log(pi)/2) / sqrt(2) with no places removed,
@@ -90,15 +92,16 @@ def test_diagnostics_record_all_routes():
 @pytest.mark.parametrize("d,parts", [(1, (3,)), (1, (2, 1)), (2, (2,))])
 def test_line_jets_stop_at_the_order_read(monkeypatch, d, parts):
     """Every route reads coefficient k (the pole order) of a summed line
-    jet, so every line jet is built to order k + 1 and no further."""
+    jet, so every product of factors is composed to order k + 1 and no
+    further."""
     orders = []
-    line_jet = SmoothGerm.line_jet
+    compose_linear = gm.compose_linear
 
-    def recording(self, lam0, order):
+    def recording(factors, rates, order):
         orders.append(order)
-        return line_jet(self, lam0, order)
+        return compose_linear(factors, rates, order)
 
-    monkeypatch.setattr(SmoothGerm, "line_jet", recording)
+    monkeypatch.setattr(gm, "compose_linear", recording)
     with working(128):
         a_coefficient(BlockProfile(d, parts))
     k = sum(parts) - len(parts)
@@ -109,7 +112,7 @@ def test_phi_is_one_at_the_origin():
     with working(128):
         for level in (BlockProfile(1, (3,)), BlockProfile(2, (2, 1))):
             germ = phi_for_L(level, PlaceSet.parse("2"))
-            assert abs(germ.value_at_zero() - 1) < mp.mpf(2) ** -120
+            assert abs(value_at_zero(germ) - 1) < mp.mpf(2) ** -120
 
 
 def test_a_tilde_agrees_with_pair_enumeration():
@@ -384,6 +387,44 @@ def test_coefficient_paths_build_no_theta_factor(monkeypatch):
                       BlockProfile(2, (3,))):
             res = a_coefficient(level, PlaceSet.parse("2"))
             assert res.diagnostics["max_disagreement"] < tolerance()
+
+
+def _vector_refused(*args, **kwargs):
+    raise AssertionError("a vector pairing ran on a block route")
+
+
+def test_block_routes_pair_block_values_only(monkeypatch):
+    """The group routes and the continuation check take every pairing from
+    prefix sums of the direction's block values: no projection, no block
+    permutation of a vector and no line jet of a germ."""
+    for name in ("project", "permute_blocks"):
+        monkeypatch.setattr(gm, name, _vector_refused)
+    monkeypatch.setattr(SmoothGerm, "line_jet", _vector_refused)
+    with working(128):
+        a_coefficient(BlockProfile(2, (2, 1)), PlaceSet.parse("2"))
+        J_o_unit(1, 4)
+        expansion(1, 4, PlaceSet.parse("3"))
+        assert unit_expansion_residual(1, 3, PlaceSet.parse("2")) < tolerance()
+        for P in enumerate_parabolics(1, 3):
+            assert max(prolongation_identity_residuals(P, samples=2)) \
+                < tolerance()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_continuation_pairings_match_the_vector_pairings(d):
+    """On every parabolic P of r <= 7 inner blocks, the pairings over d of
+    the upper projection on P with the coweights inside P's blocks (xs)
+    and with every inner coweight (ys) equal the vector pairings."""
+    for r in range(1, 8):
+        direction = draw_generic_direction(d, (r,), seed=r)
+        base = base_profile(d, r)
+        for P in enumerate_parabolics(d, r):
+            upper, _ = project(direction.vector, P)
+            xs, ys = coefficients._upper_pairings(P, direction.values)
+            assert xs == [pairing(upper, w) / d
+                          for w in simple_data(base, P).coweights]
+            assert ys == [pairing(upper, w) / d
+                          for w in simple_data(base).coweights]
 
 
 def test_pool_starts_no_more_workers_than_terms(monkeypatch):

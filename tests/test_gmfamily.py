@@ -3,6 +3,7 @@ certificates, and the structural invariants that tie them together."""
 
 import random
 from fractions import Fraction
+from itertools import accumulate, combinations
 from math import comb
 
 import mpmath as mp
@@ -22,15 +23,36 @@ from glcoeff.gmfamily import (
     symmetrized_value,
     tilde_c,
 )
-from glcoeff.jets import CancellationError
-from glcoeff.numeric import tolerance, working
+from glcoeff.jets import CancellationError, LinearFactor
+from glcoeff.numeric import to_mpf, tolerance, working
 from glcoeff.rootdata import (BlockProfile, base_profile, block_permutations,
-                              compositions, hat_theta_factor, simple_data,
+                              compositions, hat_theta_factor, pairing,
+                              permute_blocks, project, simple_data,
                               theta_factor)
 
 Q = Fraction
 
 ROUTES = (tilde_c, c, symmetrized_value)
+
+
+def value_at_zero(germ):
+    """The germ evaluated at the origin, term by term."""
+    acc = mp.mpf(0)
+    for coef, factors in germ.terms:
+        term = to_mpf(coef)
+        for f in factors:
+            term *= f.scalar_jet(1).coeff(0)
+        acc += term
+    return acc
+
+
+def block_permuted(germ, d, sigma):
+    """The germ composed with the block permutation sigma."""
+    return SmoothGerm(tuple(
+        (coef, tuple(LinearFactor(f.scalar_jet,
+                                  permute_blocks(d, sigma, f.form),
+                                  f.rate_scale) for f in factors))
+        for coef, factors in germ.terms), germ.label)
 
 
 def random_germ(rng, n):
@@ -87,7 +109,7 @@ def test_trivial_level_returns_germ_value_at_zero():
         (Q(1), Q(0), Q(0), Q(-1)), shift=3
     )
     with working(128):
-        exact = germ.value_at_zero()
+        exact = value_at_zero(germ)
         assert exact == 3
         for route in ROUTES:
             assert abs(route(germ, level, direction).value - 3) < mp.mpf(10) ** -30
@@ -172,7 +194,7 @@ def test_routes_agree_on_block_permuted_germs():
         reference = tilde_c(germ, level, direction).value
         seen_different = False
         for sigma in block_permutations((3,)):
-            moved = germ.block_permuted(1, sigma)
+            moved = block_permuted(germ, 1, sigma)
             values = [route(moved, level, direction).value for route in ROUTES]
             assert spread(values) < mp.mpf(10) ** -30
             if abs(values[0] - reference) > mp.mpf("1e-6"):
@@ -432,3 +454,36 @@ def test_derivative_route_is_tilde_c_read_unchecked():
             assert derivative.value == tilde_c(germ, level, direction).value
             assert derivative.residual == 0
             assert derivative.route == "derivative"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prefix_sum_pairings_match_the_vector_pairings(d):
+    """The block routes pair lambda with coweights through partial sums of
+    the block values; the enumerations pair vectors.  For r <= 7, every set
+    S of leading blocks pairs the permuted vector with the coweight of
+    boundary |S|, and every interval [s, e) pairs the upper and lower
+    projections on the level merging [s, e) alone with the coweights of
+    the boundaries in (s, e], exactly as the vectors do.  The outer
+    boundaries 0 and r carry no coweight and pair to zero."""
+    checked = 0
+    for r in range(1, 8):
+        direction = draw_generic_direction(d, (r,), seed=r)
+        lam, values = direction.vector, direction.values
+        zero = (Q(0),) * (d * r)
+        coweights = (zero,) + simple_data(base_profile(d, r)).coweights + (zero,)
+        for S in range(1 << r):
+            sigma = tuple(sorted(range(r), key=lambda m: not S >> m & 1))
+            assert gm.leading_pairing(d, values, S) == pairing(
+                permute_blocks(d, sigma, lam), coweights[S.bit_count()])
+            checked += 1
+        prefix = list(accumulate(values, initial=Q(0)))
+        for s, e in combinations(range(r + 1), 2):
+            merged = BlockProfile(d, (1,) * s + (e - s,) + (1,) * (r - e))
+            upper, lower = project(lam, merged)
+            ups, lows = gm.interval_pairings(d, prefix, s, e)
+            assert list(ups) == list(lows) == list(range(s + 1, e + 1))
+            for i in ups:
+                assert ups[i] == pairing(upper, coweights[i])
+                assert lows[i] == pairing(lower, coweights[i])
+                checked += 2
+    print(f"\nd={d}: {checked} exact pairings")

@@ -11,8 +11,7 @@ from glcoeff.numeric import requested_prec, tolerance, working
 from glcoeff.rootdata import group_profile
 
 
-def test_working_requests_precision_and_sets_the_tolerance(monkeypatch):
-    monkeypatch.delenv("ARTHUR_COEFF_PREC", raising=False)
+def test_working_requests_precision_and_sets_the_tolerance():
     assert requested_prec() == 256
     with working(96):
         assert (requested_prec(), mp.mp.prec) == (96, 160)
@@ -23,8 +22,7 @@ def test_working_requests_precision_and_sets_the_tolerance(monkeypatch):
     assert requested_prec() == 256
 
 
-def test_bare_call_runs_at_the_default_precision(monkeypatch):
-    monkeypatch.delenv("ARTHUR_COEFF_PREC", raising=False)
+def test_bare_call_runs_at_the_default_precision():
     with mp.workprec(53):
         bare = a_coefficient(group_profile(1, 3))
         assert mp.mp.prec == 53
