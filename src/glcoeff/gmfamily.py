@@ -113,10 +113,6 @@ class SmoothGerm:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, c) -> "SmoothGerm":
-        return cls(((Q(c), ()),), label=f"const({c})")
-
-    @classmethod
     def product(cls, factors, label: str = "") -> "SmoothGerm":
         return cls(((Q(1), tuple(factors)),), label=label)
 

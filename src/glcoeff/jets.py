@@ -50,10 +50,6 @@ class Jet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, c) -> "Jet":
-        return cls.polynomial({0: c})
-
-    @classmethod
     def polynomial(cls, coeffs: dict[int, object]) -> "Jet":
         """Exactly-known finite Laurent polynomial {order: coefficient}."""
         if not coeffs:
@@ -164,13 +160,6 @@ class Jet:
                     acc += a[j] * out[k - j]
             out[k] = -inv0 * acc
         return Jet(-self.low, tuple(out), -self.low + order)
-
-    def evaluate(self, t):
-        t = to_mpf(t)
-        acc = mp.mpf(0)
-        for k in range(self.stored_high - 1, self.low - 1, -1):
-            acc = acc * t + self.coeff(k)
-        return acc * t**self.low
 
 
 def strip_leading_zeros(jet: Jet) -> Jet:

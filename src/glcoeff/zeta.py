@@ -1,13 +1,16 @@
 """Completed zeta machinery: values, jets, local factors, towers, volumes.
 
-The default ground field is the rationals, where the completed zeta is
+The default ground field is the rationals, RATIONAL_FIELD, where the
+completed zeta is
 pi^(-s/2) * Gamma(s/2) * zeta(s) with a simple pole of residue 1 at
 s = 1.  Jets of zeta come from Euler-Maclaurin summation with the
 truncation term checked explicitly; Gamma jets come from the Stirling
 series after shifting the argument into its region of fast convergence.
 Nothing is ever silently truncated: when a requested precision cannot
 be met the computation raises PrecisionBudgetError with the offending
-bound.
+bound, and local jets are built to the orders their products read,
+whatever the pole order of a factor.  `numeric.memo` memoizes gamma_jet,
+xi_jet, ztilde_jet and the normalized tower ratio tower_ratio_jet.
 
 Other number fields are supported through a JSON data file carrying
 the Dirichlet coefficients of their zeta function; such providers only
@@ -17,21 +20,17 @@ supplied coefficient list can justify.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 
 from .jets import Jet, exp_jet, exp_linear_jet, strip_leading_zeros
-from .numeric import requested_prec, sqrt_fraction, to_mpf
+from .numeric import memo, requested_prec, sqrt_fraction, to_mpf
 from .rootdata import BlockProfile, base_profile, group_profile
 
 TAIL_MARGIN_BITS = 8
-# Entries kept by each memo of the package, least recently used evicted
-# first.  The commands of one perfbench round fill at most 19 entries of
-# a memo and `verify prolongement4 --n 4` fills 68.
-CACHE_SIZE = 256
 
 
 class ProviderError(ValueError):
@@ -129,10 +128,6 @@ class NumberFieldData:
     label: str
 
     @classmethod
-    def rationals(cls) -> "NumberFieldData":
-        return cls(1, 1, (1, 0), None, "Q")
-
-    @classmethod
     def from_file(cls, path: str) -> "NumberFieldData":
         with open(path) as fh:
             raw = json.load(fh)
@@ -170,8 +165,6 @@ class NumberFieldData:
         """Empirical max of log|a_n|/log n over the supplied list."""
         if self.is_rational:
             return 0.0
-        import math
-
         out = 0.0
         for n, a in enumerate(self.dirichlet_coefficients, start=1):
             if n >= 2 and a not in (0, 1, -1):
@@ -211,11 +204,7 @@ class NumberFieldData:
         return tuple(d)
 
 
-RATIONAL_FIELD = NumberFieldData.rationals()
-
-
-def _resolve_field(field: NumberFieldData | None) -> NumberFieldData:
-    return RATIONAL_FIELD if field is None else field
+RATIONAL_FIELD = NumberFieldData(1, 1, (1, 0), None, "Q")
 
 
 # ---------------------------------------------------------------------------
@@ -312,47 +301,39 @@ def _euler_maclaurin_zeta(c: Fraction, order: int, n_cut: int, m_terms: int):
 # Gamma jets by Stirling with shift
 
 
+@memo
 def gamma_jet(center, order: int) -> Jet:
     """Jet of Gamma at a rational center; Laurent (simple pole) at
     nonpositive integers."""
     if order < 1:
         raise ValueError("order must be positive")
-    return _gamma_jet_cached(Fraction(center), int(order), mp.mp.prec)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _gamma_jet_cached(center: Fraction, order: int, prec: int) -> Jet:
-    with mp.workprec(prec):
-        threshold = _tail_threshold()
-        pole = 1 if center <= 0 and center.denominator == 1 else 0
-        internal = order + pole
-        base_shift = max(prec // 3, internal + 4, 16)
-        shift = max(0, base_shift + _ceil(-center))
-        for _ in range(6):
-            w0 = center + shift
-            lg, omitted = _stirling_loggamma(w0, internal)
-            if omitted <= threshold:
-                break
-            shift += base_shift
-        else:
-            raise PrecisionBudgetError(
-                f"loggamma jet at {center}: Stirling tail stuck at "
-                f"{mp.nstr(omitted, 5)}")
-        g = exp_jet(lg, internal)
-        denom = Jet.polynomial({0: 1})
-        for i in range(shift):
-            if center + i != 0:
-                denom = _times_linear(denom, center + i, internal)
-        out = g * denom.reciprocal(internal)
-        if pole:
-            # the skipped zero factor turned Gamma(center + t) into its
-            # analytic multiple t * Gamma(center + t); undo the t
-            out = out.shift(-1)
-        return out.truncate(order)
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
+    center = Fraction(center)
+    threshold = _tail_threshold()
+    pole = 1 if center <= 0 and center.denominator == 1 else 0
+    internal = order + pole
+    base_shift = max(mp.mp.prec // 3, internal + 4, 16)
+    shift = max(0, base_shift + math.ceil(-center))
+    for _ in range(6):
+        w0 = center + shift
+        lg, omitted = _stirling_loggamma(w0, internal)
+        if omitted <= threshold:
+            break
+        shift += base_shift
+    else:
+        raise PrecisionBudgetError(
+            f"loggamma jet at {center}: Stirling tail stuck at "
+            f"{mp.nstr(omitted, 5)}")
+    g = exp_jet(lg, internal)
+    denom = Jet.polynomial({0: 1})
+    for i in range(shift):
+        if center + i != 0:
+            denom = _times_linear(denom, center + i, internal)
+    out = g * denom.reciprocal(internal)
+    if pole:
+        # the skipped zero factor turned Gamma(center + t) into its
+        # analytic multiple t * Gamma(center + t); undo the t
+        out = out.shift(-1)
+    return out.truncate(order)
 
 
 def _stirling_loggamma(w0: Fraction, order: int):
@@ -391,7 +372,9 @@ def _stirling_term(w: mp.mpf, j: int, order: int) -> list:
 # completed zeta jets
 
 
-def xi_jet(center, order: int, field: NumberFieldData | None = None) -> Jet:
+@memo
+def xi_jet(center, order: int,
+           field: NumberFieldData = RATIONAL_FIELD) -> Jet:
     """Jet of the completed zeta of the field at a rational center.
 
     Over the rationals this is analytic away from {0, 1} and has simple
@@ -400,35 +383,30 @@ def xi_jet(center, order: int, field: NumberFieldData | None = None) -> Jet:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    field = _resolve_field(field)
     if field.is_rational:
-        return _xi_jet_q(Fraction(center), int(order), mp.mp.prec)
-    return _xi_jet_file(field, Fraction(center), int(order), mp.mp.prec)
+        return _xi_jet_q(Fraction(center), order)
+    return _xi_jet_file(field, Fraction(center), order)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _xi_jet_q(c: Fraction, order: int, prec: int) -> Jet:
-    with mp.workprec(prec):
-        half = Fraction(1, 2) * c
-        z_pole = 1 if c == 1 else 0
-        g_pole = 1 if half <= 0 and half.denominator == 1 else 0
-        internal = order + z_pole + g_pole
-        zeta_part = zeta_jet(c, internal)
-        gamma_part = gamma_jet(half, internal).scale_arg(Fraction(1, 2))
-        pi_part = exp_linear_jet(-mp.log(mp.pi) / 2, internal).scale(
-            mp.power(mp.pi, -to_mpf(c) / 2))
-        return (pi_part * zeta_part * gamma_part).truncate(order)
+def _xi_jet_q(c: Fraction, order: int) -> Jet:
+    half = Fraction(1, 2) * c
+    z_pole = 1 if c == 1 else 0
+    g_pole = 1 if half <= 0 and half.denominator == 1 else 0
+    internal = order + z_pole + g_pole
+    zeta_part = zeta_jet(c, internal)
+    gamma_part = gamma_jet(half, internal).scale_arg(Fraction(1, 2))
+    pi_part = exp_linear_jet(-mp.log(mp.pi) / 2, internal).scale(
+        mp.power(mp.pi, -to_mpf(c) / 2))
+    return (pi_part * zeta_part * gamma_part).truncate(order)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _xi_jet_file(field: NumberFieldData, c: Fraction, order: int, prec: int) -> Jet:
-    with mp.workprec(prec):
-        _check_dirichlet_budget(field, c, order)
+def _xi_jet_file(field: NumberFieldData, c: Fraction, order: int) -> Jet:
+    _check_dirichlet_budget(field, c, order)
     # the tail budget is certified against the caller's precision; the
     # summation itself runs with guard bits so rounding noise from the
     # long coefficient sum stays below that resolution
     m_cut = len(field.dirichlet_coefficients)
-    with mp.workprec(prec + 32 + m_cut.bit_length()):
+    with mp.workprec(mp.mp.prec + 32 + m_cut.bit_length()):
         zeta_part = _dirichlet_jet(field.dirichlet_coefficients, c, order)
         r1, r2 = field.signature
         disc = abs(field.discriminant)
@@ -523,35 +501,51 @@ def _gamma_r_jet(c: Fraction, order: int) -> Jet:
         * gamma_jet(Fraction(1, 2) * c, order).scale_arg(Fraction(1, 2)))
 
 
+def _local_pole_order(place, center: Fraction, field: NumberFieldData) -> int:
+    """Pole order of a local factor: 1 at 0, -2, ... for Gamma_R; at p the
+    multiplicity of the Euler polynomial's zero at X = p^-center.  With
+    center = a/b in lowest terms X^b = p^-a is rational and 1, X, ...,
+    X^(b-1) are independent over Q, so the count is exact."""
+    if place == "inf":
+        return 1 if center <= 0 and center % 2 == 0 else 0
+    p, b = int(place), center.denominator
+    x_b = Fraction(p) ** -center.numerator
+    poly = field.euler_factor(p)
+    pole = 0
+    while all(sum(c * x_b**i for i, c in enumerate(poly[j::b])) == 0
+              for j in range(b)):
+        poly = [k * c for k, c in enumerate(poly)][1:]
+        pole += 1
+    return pole
+
+
 def xi_local_jet(place, center, order: int,
-                 field: NumberFieldData | None = None) -> Jet:
-    """Jet of the local factor in its scalar argument at a rational center."""
-    field = _resolve_field(field)
+                 field: NumberFieldData = RATIONAL_FIELD) -> Jet:
+    """Jet of the local factor in its scalar argument at a rational center,
+    known to `order` whatever its pole order."""
     center = Fraction(center)
-    internal = order + 2
+    pole = _local_pole_order(place, center, field)
     if place == "inf":
         if not field.is_rational:
             raise ProviderError("archimedean local factors are only built in "
                                 "for the rationals")
-        return _gamma_r_jet(center, internal).truncate(order)
+        return _gamma_r_jet(center, order + pole)
     p = int(place)
-    denom_poly = field.euler_factor(p)
+    internal = order + 2 * pole  # its zero, then its reciprocal, cost `pole`
     x_jet = exp_linear_jet(-mp.log(p), internal).scale(mp.power(p, -to_mpf(center)))
-    if center == 0:
-        # p^-center is exactly 1; rebuild so the cancellation at order 0 is exact
-        x_jet = exp_linear_jet(-mp.log(p), internal)
     acc = Jet.polynomial({})
-    for k in reversed(range(len(denom_poly))):
-        acc = (acc * x_jet).truncate(internal) + Jet.polynomial({0: denom_poly[k]})
-    acc = strip_leading_zeros(acc.truncate(internal))
-    return acc.reciprocal(internal - acc.low).truncate(order)
+    for d_k in reversed(field.euler_factor(p)):
+        acc = (acc * x_jet).truncate(internal) + Jet.polynomial({0: d_k})
+    acc = Jet(pole, acc.coeffs[pole:], internal)  # orders below `pole` vanish
+    return acc.reciprocal(internal - pole)
 
 
 # ---------------------------------------------------------------------------
 # towers
 
 
-def z_jet(n: int, center, order: int, field: NumberFieldData | None = None) -> Jet:
+def z_jet(n: int, center, order: int,
+          field: NumberFieldData = RATIONAL_FIELD) -> Jet:
     """Jet of the n-step completed-zeta product xi(s-n+1)...xi(s) at `center`."""
     center = Fraction(center)
     internal = order + n + 2
@@ -569,7 +563,9 @@ def _times_s_minus_n(n: int, center, jet: Jet, order: int) -> Jet:
     return (prefactor * jet).truncate(order)
 
 
-def ztilde_jet(n: int, center, order: int, field: NumberFieldData | None = None) -> Jet:
+@memo
+def ztilde_jet(n: int, center, order: int,
+               field: NumberFieldData = RATIONAL_FIELD) -> Jet:
     """Jet of (s - n) * z_n(s): the pole of the top factor is removed at
     center n, where the value is the tower's regularized volume constant."""
     return _times_s_minus_n(n, center, z_jet(n, center, order + 1, field),
@@ -577,21 +573,22 @@ def ztilde_jet(n: int, center, order: int, field: NumberFieldData | None = None)
 
 
 def z_s_local_jet(n: int, places: PlaceSet, center, order: int,
-                  field: NumberFieldData | None = None) -> Jet:
+                  field: NumberFieldData = RATIONAL_FIELD) -> Jet:
     """Jet of the product of local factors over the places of S,
     arguments s-n+1 .. s."""
     center = Fraction(center)
     tokens = places.primes + (("inf",) if places.include_archimedean else ())
-    internal = order + n * len(tokens) + 2
+    factors = [(p, center - n + j) for p in tokens for j in range(1, n + 1)]
+    poles = [_local_pole_order(p, c, field) for p, c in factors]
     out = Jet.polynomial({0: 1})
-    for p in tokens:
-        for j in range(1, n + 1):
-            out = out * xi_local_jet(p, center - n + j, internal, field)
+    for (p, c), pole in zip(factors, poles):
+        # the other factors' poles cost this one as many orders
+        out = out * xi_local_jet(p, c, order + sum(poles) - pole, field)
     return out.truncate(order)
 
 
 def z_s_jet(n: int, places: PlaceSet, center, order: int,
-            field: NumberFieldData | None = None) -> Jet:
+            field: NumberFieldData = RATIONAL_FIELD) -> Jet:
     """Jet of z_n with the Euler factors at S removed: z_n / z_{n,S}."""
     internal = order + n + 2
     num = z_jet(n, center, internal, field)
@@ -600,23 +597,32 @@ def z_s_jet(n: int, places: PlaceSet, center, order: int,
 
 
 def ztilde_s_jet(n: int, places: PlaceSet, center, order: int,
-                 field: NumberFieldData | None = None) -> Jet:
+                 field: NumberFieldData = RATIONAL_FIELD) -> Jet:
     """Jet of (s - n) * z_n^S(s); analytic at center n."""
     return _times_s_minus_n(n, center,
                             z_s_jet(n, places, center, order + 1, field), order)
+
+
+@memo
+def tower_ratio_jet(n: int, places: PlaceSet, order: int,
+                    field: NumberFieldData = RATIONAL_FIELD) -> Jet:
+    """Jet of the normalized tower ratio T(x) = ztilde_n^S(n + x) /
+    ztilde_n^S(n), the one factor of the coefficient germs."""
+    jet = ztilde_s_jet(n, places, n, order, field)
+    return jet.scale(1 / jet.coeff(0))
 
 
 # ---------------------------------------------------------------------------
 # volumes
 
 
-def vol_gl_one(m: int, field: NumberFieldData | None = None) -> mp.mpf:
+def vol_gl_one(m: int, field: NumberFieldData = RATIONAL_FIELD) -> mp.mpf:
     """Volume of the norm-one quotient of GL(m): sqrt(m) times the
     regularized tower value at m."""
     return sqrt_fraction(m) * ztilde_jet(m, m, 1, field).coeff(0)
 
 
-def vol_block_levi(profile: BlockProfile, field: NumberFieldData | None = None) -> mp.mpf:
+def vol_block_levi(profile: BlockProfile, field: NumberFieldData = RATIONAL_FIELD) -> mp.mpf:
     """Volume of the norm-one block Levi of a profile.
 
     Equals (d * v_d)^k divided by the product of the per-block coroot
@@ -624,21 +630,18 @@ def vol_block_levi(profile: BlockProfile, field: NumberFieldData | None = None) 
     """
     d = profile.d
     v_d = ztilde_jet(d, d, 1, field).coeff(0)
-    covol_sq = Fraction(1)
-    for size in profile.sizes:
-        covol_sq *= size
-    return (d * v_d) ** profile.k / sqrt_fraction(covol_sq)
+    return (d * v_d) ** profile.k / sqrt_fraction(math.prod(profile.sizes))
 
 
-def vol_minimal_levi(d: int, r: int, field: NumberFieldData | None = None) -> mp.mpf:
+def vol_minimal_levi(d: int, r: int, field: NumberFieldData = RATIONAL_FIELD) -> mp.mpf:
     return vol_block_levi(base_profile(d, r), field)
 
 
-def vol_group(d: int, r: int, field: NumberFieldData | None = None) -> mp.mpf:
+def vol_group(d: int, r: int, field: NumberFieldData = RATIONAL_FIELD) -> mp.mpf:
     return vol_block_levi(group_profile(d, r), field)
 
 
-def volumes(profile: BlockProfile, field: NumberFieldData | None = None) -> dict:
+def volumes(profile: BlockProfile, field: NumberFieldData = RATIONAL_FIELD) -> dict:
     """The volume table for a profile: the ambient group, the block Levi
     of the profile, and the minimal block Levi."""
     d, r = profile.d, profile.r

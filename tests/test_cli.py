@@ -122,7 +122,7 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
-# sha256 of the stdout of five fast benchmark commands: a refactor that
+# sha256 of the stdout of seven fast benchmark commands: a refactor that
 # must keep every printed digit fails here if it moves one
 PINNED_STDOUT = [
     (("coeff", "--d", "1", "--r", "5", "--S", "", "--prec", "256",
@@ -140,13 +140,18 @@ PINNED_STDOUT = [
     (("zeta", "--eval", "ztilde-s", "--at", "5/2", "--d", "2", "--S",
       "3,inf", "--order", "6", "--prec", "512", "--seed", "0"),
      "3841cf1e1cd01e834926182c7b872749eb656ee744248f45238f496e3761f9f2"),
+    (("zeta", "--eval", "ztilde-s", "--at", "1", "--d", "1", "--S", "2,inf",
+      "--prec", "1024", "--seed", "0"),
+     "77e15edc361940e89336f05df9f67cd75a13f60a9b096f68c1d8766a54ce66f3"),
+    (("verify", "prolongement4", "--n", "3", "--prec", "256", "--seed", "0"),
+     "f56c073c6917bc76f570451bfcc1d20242544bedfa53996206fd9178f96a4774"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
                          ids=[" ".join(a[:5]) for a, _ in PINNED_STDOUT])
 def test_benchmark_stdout_is_pinned(capsys, argv, digest):
-    """Five benchmark commands print byte for byte what they printed when
+    """Seven benchmark commands print byte for byte what they printed when
     the digests were recorded."""
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

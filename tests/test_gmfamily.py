@@ -82,7 +82,7 @@ def spread(values):
 def test_constant_germ_gives_zero_in_gl2():
     level = BlockProfile(1, (2,))
     direction = draw_generic_direction(1, (2,), seed=1)
-    germ = SmoothGerm.constant(Q(7, 3))
+    germ = SmoothGerm(((Q(7, 3), ()),))
     with working(128):
         for route in ROUTES:
             assert abs(route(germ, level, direction).value) < mp.mpf(2) ** -100
@@ -317,7 +317,7 @@ def test_wrong_value_count_is_rejected():
 
 def test_direction_level_mismatch_is_rejected():
     direction = draw_generic_direction(1, (2, 1), seed=1)
-    germ = SmoothGerm.constant(Q(1))
+    germ = SmoothGerm(((Q(1), ()),))
     for route in ROUTES:
         with pytest.raises(ValueError):
             route(germ, BlockProfile(1, (3,)), direction)
@@ -352,7 +352,7 @@ def random_product_germ(rng, level):
             return SmoothGerm.linear(form, shift=rng.randint(1, 4))
         return SmoothGerm.power(form, rng.randint(0, 2))
 
-    germ = SmoothGerm.constant(Q(rng.randint(1, 5), 3))
+    germ = SmoothGerm(((Q(rng.randint(1, 5), 3), ()),))
     for _ in range(rng.randint(1, 2 * len(coweights))):
         germ = germ * atom()
     return germ + atom().scaled(Q(rng.randint(-3, 3), rng.randint(1, 3)))

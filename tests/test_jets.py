@@ -35,8 +35,8 @@ def test_ring_axioms():
 
 def test_polynomial_vs_evaluate():
     p = Jet.polynomial({0: 2, 1: -3, 3: Fraction(1, 2)})
-    t = mp.mpf("0.37")
-    assert abs(p.evaluate(t) - (2 - 3 * t + t**3 / 2)) < 1e-15
+    assert p.low == 0
+    assert p.coeffs == (2, -3, 0, mp.mpf(1) / 2)
 
 
 def test_truncation_propagates_through_mul():
@@ -64,7 +64,7 @@ def test_reciprocal_is_inverse():
         for _ in range(20):
             a = random_jet(rng, order=7)
             if abs(a.coeff(0)) < 1e-3:
-                a = a + Jet.constant(1)
+                a = a + Jet.polynomial({0: 1})
             prod = a * a.reciprocal()
             assert abs(prod.coeff(0) - 1) < 1e-12
             for k in range(1, prod.trunc):

@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import json
+import pathlib
 import pkgutil
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 
 import glcoeff
 from glcoeff import zeta as Z
-from glcoeff.numeric import to_mpf, working
+from glcoeff.numeric import CACHE_SIZE, to_mpf, working
 from glcoeff.rootdata import (base_profile, covolume, enumerate_parabolics,
                               group_profile, simple_data)
 
@@ -145,19 +147,104 @@ def test_truncated_jets_keep_their_orders_bit_for_bit(prec):
         _agree_on_shared_orders([Z.gamma_jet(0, m) for m in orders])
 
 
-def test_every_cache_is_bounded():
-    caches = {}
+def _memos():
+    """{module.name: memo} over the package, each memo once however many
+    modules import it."""
+    memos = {}
     for info in pkgutil.iter_modules(glcoeff.__path__):
         module = importlib.import_module(f"glcoeff.{info.name}")
-        for name, obj in vars(module).items():
+        for obj in vars(module).values():
             if hasattr(obj, "cache_parameters"):
-                caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
-    assert set(caches) == {"coefficients._tower_cached",
-                           "coefficients._tower_ratio_cached",
-                           "coefficients._tower_value_cached",
-                           "zeta._gamma_jet_cached", "zeta._xi_jet_file",
-                           "zeta._xi_jet_q"}
-    assert all(size is not None for size in caches.values()), caches
+                memos[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return memos
+
+
+def test_every_cache_is_bounded():
+    memos = _memos()
+    assert set(memos) == {"glcoeff.zeta.gamma_jet", "glcoeff.zeta.xi_jet",
+                          "glcoeff.zeta.ztilde_jet",
+                          "glcoeff.zeta.tower_ratio_jet"}
+    for name, obj in memos.items():
+        assert obj.cache_parameters()["maxsize"] == CACHE_SIZE, name
+
+
+def test_memo_rule_is_the_only_memo():
+    """lru_cache is spelled in numeric alone, and no memo takes the
+    precision as an argument: the rule keys on the working precision."""
+    package = pathlib.Path(glcoeff.__file__).parent
+    spelled = sorted(path.name for path in package.glob("*.py")
+                     if "lru_cache" in path.read_text())
+    assert spelled == ["numeric.py"]
+    for name, obj in _memos().items():
+        assert "prec" not in inspect.signature(obj).parameters, name
+
+
+def test_memo_does_not_serve_a_jet_across_precisions():
+    with working(64):
+        Z.gamma_jet(Fraction(1, 3), 2)
+    with working(256):
+        jet = Z.gamma_jet(Fraction(1, 3), 2)
+        third = mp.mpf(1) / 3
+        assert abs(jet.coeff(0) - mp.gamma(third)) < mp.mpf(2) ** -250
+        assert (abs(jet.coeff(1) - mp.gamma(third) * mp.digamma(third))
+                < mp.mpf(2) ** -250)
+
+
+def test_memo_fills_one_entry_per_jet_however_spelled():
+    with working(77):  # a precision no other test works at
+        before = Z.xi_jet.cache_info()
+        first = Z.xi_jet(2, 3)
+        second = Z.xi_jet(Fraction(2), 3, Z.RATIONAL_FIELD)
+        after = Z.xi_jet.cache_info()
+    assert second is first
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+def _prime_power_field(primes, a_pk, poly):
+    """A file field's data whose Dirichlet coefficients are multiplicative,
+    a_(p^k) = a_pk(k) at the given primes and 0 at every other prime, so
+    that poly is the Euler polynomial at each of those primes."""
+    coeffs = []
+    for n in range(1, 65):
+        value = 1
+        for p in primes:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            value *= a_pk(k)
+        coeffs.append(value if n == 1 else 0)
+    degree = len(poly) - 1
+    field = Z.NumberFieldData(degree, 1, (degree, 0), tuple(coeffs), "test")
+    assert all(field.euler_factor(p) == poly for p in primes)
+    return field
+
+
+@pytest.mark.parametrize("primes,a_pk,poly,center,local,pole", [
+    ((2,), lambda k: (k + 2) * (k + 1) // 2, (1, -3, 3, -1), 0,
+     lambda t: (1 - mp.power(2, -t)) ** -3, 3),
+    ((2, 3, 5), lambda k: k + 1, (1, -2, 1), 0,
+     lambda t: mp.fprod((1 - mp.power(p, -t)) ** -2 for p in (2, 3, 5)), 6),
+    ((3,), lambda k: 3 ** (k // 2) * (1 - k % 2), (1, 0, -3), Fraction(1, 2),
+     lambda t: 1 / (1 - mp.power(3, -2 * t)), 1),
+    ((3,), lambda k: (k + 1) * 3**k, (1, -6, 9), 1,
+     lambda t: (1 - mp.power(3, -t)) ** -2, 2),
+])
+def test_local_jets_keep_their_orders_at_euler_zeros(
+        primes, a_pk, poly, center, local, pole):
+    """An Euler polynomial vanishing at X = p^-center, to any order and
+    at X = 1 or not, gives the local product (`local`, in t = s - center)
+    a pole of the total order; the jet is right on every order up to the
+    one requested."""
+    field = _prime_power_field(primes, a_pk, poly)
+    with working(64):
+        jet = Z.z_s_local_jet(1, Z.PlaceSet(primes), center, 3, field)
+    assert (jet.low, jet.stored_high, jet.trunc) == (-pole, 3, 3)
+    with mp.workprec(256):
+        ref = mp.taylor(lambda t: t**pole * local(t), 0, pole + 2,
+                        singular=True)
+    for k in range(1 - pole, 3):  # mpmath's value at t = 0 itself is rough
+        assert abs(jet.coeff(k) - ref[pole + k]) < mp.mpf(10) ** -15, k
 
 
 def test_gamma_poles():
