@@ -21,7 +21,7 @@ import mpmath as mp
 
 from .coefficients import (expansion, prolongation_identity_residuals,
                            unit_expansion_residual)
-from .gmfamily import SmoothGerm, c, draw_generic_direction, tilde_c
+from .gmfamily import SmoothGerm, alternating_sum, draw_generic_direction
 from .numeric import (DEFAULT_PREC, MIN_PREC, decimal_str, parse_exact,
                       tolerance, tolerance_exponent, working)
 from .orbits import (LeviDatum, Partition, enumerate_inducing_pairs, induce,
@@ -347,8 +347,8 @@ def _suite_cp(args, config: RunConfig, field) -> tuple[list, dict]:
         local = mp.mpf(0)
         for _ in range(count):
             germ = _random_germ(rng, d * r)
-            upper = tilde_c(germ, level, direction)
-            lower = c(germ, level, direction)
+            upper = alternating_sum(germ, level, direction, False)
+            lower = alternating_sum(germ, level, direction, True)
             gap = abs(upper.value - lower.value) / max(mp.mpf(1),
                                                        abs(upper.value))
             local = max(local, gap)

@@ -2,10 +2,10 @@
 
 The payload of the package.  On the group GL(d*m) the coefficient is
 the limit at 0 of a Weyl-symmetrized product of partial zeta-tower jets,
-computed through the three independent routes of the germ engine and
-cross-checked (`_group_routes`, the only place the routes run for a
-coefficient).  A Levi grouping the r inner d-blocks into parts gets the
-product of the group coefficients of its parts, route by route.
+computed by the three independent routes of `gmfamily` on the tower
+series and cross-checked (`_group_routes`, the only place the routes run
+for a coefficient).  A Levi grouping the r inner d-blocks into parts
+gets the product of the group coefficients of its parts, route by route.
 The module also evaluates the regularized unit-function integral, checks
 the analytic continuation identity that glues the unit-function
 integrals, and assembles the full expansion as a formal object whose
@@ -69,14 +69,14 @@ def _route_gap(values, where: str) -> mp.mpf:
     return gap
 
 
-def _cross_checked_routes(germ: SmoothGerm, level: BlockProfile,
-                          direction: GenericDirection,
+def _cross_checked_routes(tower: Jet, direction: GenericDirection,
                           where: str) -> tuple[RouteValue, ...]:
-    """The three routes, in ROUTE_NAMES order, checked by _route_gap."""
+    """The three routes on the tower series, in ROUTE_NAMES order,
+    checked by _route_gap."""
     routes = (
-        symmetrized_value(germ, level, direction),
-        tilde_c(germ, level, direction),
-        c(germ, level, direction),
+        symmetrized_value(tower, direction),
+        tilde_c(tower, direction),
+        c(tower, direction),
     )
     _route_gap([rv.value for rv in routes], where)
     return routes
@@ -88,12 +88,13 @@ def _cross_checked_routes(germ: SmoothGerm, level: BlockProfile,
 
 def phi_for_L(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
               field: NumberFieldData = RATIONAL_FIELD) -> SmoothGerm:
-    """The product germ feeding the coefficient at this level.
+    """The coefficient germ at this level, on which the enumerations check
+    the routes.
 
     One normalized partial-tower factor per within-block coweight; the
     argument of each factor is shifted by 1/d times the pairing, so the
     germ is exactly 1 at the origin.  The minimal level gives the empty
-    product.
+    product.  The routes take its one factor, the tower series, instead.
     """
     provider = partial(tower_ratio_jet, level.d, places, field=field)
     coweights = simple_data(base_profile(level.d, level.r), level).coweights
@@ -157,10 +158,9 @@ def _levi_coefficient(level: BlockProfile, groups: dict[int, dict],
 def _group_routes(d: int, m: int, places: PlaceSet, field: NumberFieldData,
                   seed: int) -> dict:
     """Values and residuals of the three cross-checked routes of a(GL(d*m))."""
-    level = group_profile(d, m)
-    routes = _cross_checked_routes(phi_for_L(level, places, field), level,
+    routes = _cross_checked_routes(tower_ratio_jet(d, places, m, field),
                                    draw_generic_direction(d, (m,), seed),
-                                   f"level {level.parts}, S={places.label()}")
+                                   f"level {(m,)}, S={places.label()}")
     return {"routes": {rv.route: rv.value for rv in routes},
             "residuals": {rv.route: rv.residual for rv in routes}}
 
@@ -295,16 +295,11 @@ def J_o_unit(d: int, r: int, field: NumberFieldData = RATIONAL_FIELD,
              seed: int = 0) -> RouteValue:
     """Value at 0 of the Weyl-symmetrized regularized ambient integral.
 
-    Computed with the germ engine on the product of complete d-tower
-    factors, cross-checked against the other two routes.
+    The three routes take the complete d-tower series Z(x) =
+    ztilde_d(d + x), unnormalized, and are cross-checked.
     """
-    level = group_profile(d, r)
-    provider = partial(ztilde_jet, d, d, field=field)
-    factors = tuple(LinearFactor(provider, w, Q(1, d))
-                    for w in simple_data(base_profile(d, r)).coweights)
-    germ = SmoothGerm(((Q(1), factors),), label=f"unit[{d},{r}]")
     direction = draw_generic_direction(d, (r,), seed)
-    sym, *_ = _cross_checked_routes(germ, level, direction,
+    sym, *_ = _cross_checked_routes(ztilde_jet(d, d, r, field), direction,
                                     f"unit value ({d},{r})")
     const = _j_tilde_prefactor(d, r, field)
     return RouteValue(const * sym.value, sym.residual, "symmetrized")

@@ -10,8 +10,8 @@ individual term blows up like t^-k; the sum is analytic, and the code
 makes that literal: it adds the numerator jets and `jets.split_pole`
 checks that the k lowest coefficients cancel to the tolerance, divides
 by t^k once and hands back the constant term.  That constant term is
-coefficient k of the sum, so the enumerations below build every line
-jet to order k + 1 and no further.
+coefficient k of the sum, so every jet is built to order k + 1 and no
+further.
 
 Three independent routes to the same number are provided: two
 alternating sums over parabolics (tilde_c, c) and a Weyl-symmetrized sum
@@ -20,19 +20,18 @@ of the package.  arthur_derivative_value, the k-th derivative formula at
 one generic point, reads the same coefficient of the same sum as tilde_c
 and is kept only as that identity.
 
-Product germs on the group take polynomial routes.  A germ is in product
-form when the level is the group and every factor of every term pairs
-lambda with one of its coweights, checked by exact equality of forms, as
-the coefficient germs are.  Then every pairing is a partial sum of the
-direction's r block values, so these routes build no vector: the
+The routes run on the group GL(d r) and take the tower series T: phi is
+T at rate 1/d times the pairing with each of the r - 1 inner coweights,
+the coefficient germ of the package.  Every pairing is a partial sum of
+the direction's r block values, so the routes build no vector: the
 symmetrized route is a Held-Karp sum over (set of leading inner blocks,
 last block), r * 2^r jet products, and the alternating routes are a
 chain over the last P-interval, O(r^3) jet operations, whose hat theta
-is the product of the interior upper pairings.  Every other germ, those
-on a Levi level included, goes through the enumerations over the Weyl
-group and the 2^(r-1) intermediate levels.  They pair vectors with
-coweights and share no pairing code with the group routes, whose
-oracles they are.
+is the product of the interior upper pairings.  Germs go to the
+enumerations over the Weyl group and the 2^(r-1) intermediate levels
+(symmetrized_sum, alternating_sum), on any level.  They pair vectors
+with coweights and share no pairing code with the routes, whose oracles
+they are.
 `held_karp` is the one ordering sum of the package; the coarse-block
 family of `coefficients` runs through it too.
 
@@ -59,7 +58,7 @@ from .jets import (Jet, LinearFactor, compose_linear, exp_linear_jet,
 from .numeric import sqrt_fraction, to_mpf
 from .rootdata import (BlockProfile, base_profile, block_permutations,
                        compositions, epsilon, hat_theta_factor, pairing,
-                       permute_blocks, project, simple_data, theta_factor)
+                       permute_blocks, project, theta_factor)
 
 Q = Fraction
 
@@ -76,11 +75,11 @@ class NotGenericError(ValueError):
 class SmoothGerm:
     """A finite sum of products of scalar functions of linear forms.
 
-    The only capability required downstream is line_jet: the Taylor
+    The enumerations need one capability, line_jet: the Taylor
     expansion of t -> phi(t*lam0) for an arbitrary direction lam0.
     Sums and products of germs are germs again, which is enough to
-    build polynomials, exponentials and the zeta-tower products the
-    coefficient formulas use.
+    build polynomials, exponentials and the coefficient germ the routes
+    are checked on.
     """
 
     terms: tuple[tuple[Fraction, tuple[LinearFactor, ...]], ...]
@@ -89,8 +88,9 @@ class SmoothGerm:
     def line_jet(self, lam0: tuple, order: int) -> Jet:
         total = Jet.polynomial({})
         for coef, factors in self.terms:
+            jets = [f.scalar_jet(order) for f in factors]
             rates = [f.rate_scale * pairing(lam0, f.form) for f in factors]
-            total = total + compose_linear(factors, rates, order).scale(coef)
+            total = total + compose_linear(jets, rates).scale(coef)
         return total.truncate(order)
 
     # -- algebra ----------------------------------------------------------
@@ -243,40 +243,25 @@ class RouteValue:
     route: str
 
 
-def _pole_order(level: BlockProfile) -> int:
-    return level.r - level.k
+_ALTERNATING = {False: "alternating-upper", True: "alternating-lower"}
 
 
-def _check_direction(direction: GenericDirection, level: BlockProfile) -> None:
-    if (direction.d, direction.parts) != (level.d, level.parts):
-        raise ValueError("direction was certified for a different level")
+def _read_off(jet: Jet, k: int, route: str) -> RouteValue:
+    """Coefficient k of the summed jet, the k below it checked to cancel."""
+    analytic, residual = split_pole(jet, k, route)
+    return RouteValue(analytic.coeff(0), residual, route)
 
 
-# -- product germs on the group -----------------------------------------------
+# -- the group routes: functions of the tower series ----------------------
 
 
-def _product_terms(germ: SmoothGerm, level: BlockProfile):
-    """The germ's terms as (coef, factor table), or None unless the level
-    is the group and every factor pairs lambda with one of its coweights.
-
-    The table has r + 1 entries: entry i holds the factors on the coweight
-    of inner boundary i, in term order, and the outer boundaries 0 and r
-    carry none.
-    """
-    if len(level.parts) > 1:
-        return None
-    coweights = simple_data(base_profile(level.d, level.r), level).coweights
-    where = {w: i for i, w in enumerate(coweights, start=1)}
-    terms = []
-    for coef, factors in germ.terms:
-        table = [()] * (level.r + 1)
-        for f in factors:
-            i = where.get(tuple(f.form))
-            if i is None:
-                return None
-            table[i] += (f,)
-        terms.append((coef, table))
-    return terms
+def _group_size(direction: GenericDirection) -> int:
+    """The r of a direction certified for the group GL(d r), else
+    ValueError: the routes never run on a Levi level."""
+    r = len(direction.values)
+    if direction.parts != (r,):
+        raise ValueError("the routes take a direction certified for the group")
+    return r
 
 
 def _jet_sum(jets) -> Jet:
@@ -317,13 +302,14 @@ def held_karp(values, after) -> Jet:
     return _jet_sum(ends.values())
 
 
-def _boundary_jet(at, pairings: dict[int, Fraction], order: int) -> Jet:
-    """Jet of the product of the factors at[i] of each boundary i of
-    `pairings`, in order, each at its rate_scale times the pairing of
-    lambda with coweight i that `pairings` holds."""
-    return compose_linear([f for i in pairings for f in at[i]],
-                          [f.rate_scale * x for i, x in pairings.items()
-                           for f in at[i]], order)
+def _boundary_jet(tower: Jet, d: int, r: int,
+                  pairings: dict[int, Fraction]) -> Jet:
+    """Jet of the product, over the inner boundaries 0 < i < r of
+    `pairings` in order, of the tower at rate 1/d times the pairing of
+    lambda with coweight i that `pairings` holds.  The outer boundaries 0
+    and r carry no coweight and contribute nothing."""
+    inner = [x for i, x in pairings.items() if 0 < i < r]
+    return compose_linear([tower] * len(inner), [x / d for x in inner])
 
 
 def leading_pairing(d: int, values, S: int) -> Fraction:
@@ -349,32 +335,35 @@ def interval_pairings(d: int, prefix, s: int, e: int):
     return ups, {i: d * (prefix[s] + (i - s) * m - i * mean) for i in ups}
 
 
-def _symmetrized_block(direction: GenericDirection, at) -> Jet:
-    """Weyl-symmetrized line jet of the group's r inner blocks.
+def symmetrized_value(tower: Jet, direction: GenericDirection) -> RouteValue:
+    """Limit at 0 of the Weyl average of the tower product over the
+    permuted pairing product, on the group's r inner blocks.
 
     In an ordering w of the blocks, the coweight of boundary i pairs w lam
     through the set S of the first i inner blocks only (leading_pairing),
     and theta is the product of consecutive gaps.  So held_karp sums the
-    orderings, a block after S bringing the boundary-|S| factors at that
+    orderings, a block after S bringing the boundary-|S| tower at that
     pairing along any w that puts S first.
     """
+    r = _group_size(direction)
     d, values = direction.d, direction.values
-    r = len(values)
 
     def after(S):
-        i = S.bit_count()
-        tower = _boundary_jet(at, {i: leading_pairing(d, values, S)}, r)
-        return lambda m: tower
+        jet = _boundary_jet(tower, d, r,
+                            {S.bit_count(): leading_pairing(d, values, S)})
+        return lambda m: jet
 
     covol = sqrt_fraction(Q(d * r, d ** r))
-    return held_karp(values, after).scale(covol / factorial(r)).truncate(r)
+    block = held_karp(values, after).scale(covol / factorial(r)).truncate(r)
+    return _read_off(block, r - 1, "symmetrized")
 
 
-def _alternating_block(direction: GenericDirection, at, lower: bool) -> Jet:
+def _alternating(tower: Jet, direction: GenericDirection,
+                 lower: bool) -> RouteValue:
     """Alternating sum over the compositions of the group's r inner blocks,
     as a chain over the P-intervals [s, e).
 
-    The factors of the boundaries in (s, e] pair the projection of lam
+    The towers of the boundaries in (s, e] pair the projection of lam
     through the interval alone: the upper part vanishes on the other
     intervals, and the lower part keeps the prefix sums of lam at every
     P-boundary.  So their pairings are those of the level P_I that merges
@@ -385,8 +374,8 @@ def _alternating_block(direction: GenericDirection, at, lower: bool) -> Jet:
     the gap of their means.  With one state per last interval that is
     O(r^3) jet operations instead of 2^(r-1) line jets.
     """
+    r = _group_size(direction)
     d, values = direction.d, direction.values
-    r = len(values)
     prefix = list(accumulate(values, initial=Q(0)))
     gaps = _mean_gaps(values)
     chain: dict[tuple[int, int], Jet] = {}
@@ -394,7 +383,7 @@ def _alternating_block(direction: GenericDirection, at, lower: bool) -> Jet:
         for s in range(e):
             size = e - s
             ups, lows = interval_pairings(d, prefix, s, e)
-            jet = _boundary_jet(at, lows if lower else ups, r)
+            jet = _boundary_jet(tower, d, r, lows if lower else ups)
             # hat theta of P_I (Gram determinant d^size / (d * size)) times
             # the interval's share 1/(d * size) of the theta^group_P Gram
             # determinant
@@ -410,24 +399,49 @@ def _alternating_block(direction: GenericDirection, at, lower: bool) -> Jet:
                     for t in range(s))
             chain[s, e] = jet.scale(weight)
     block = _jet_sum(chain[s, r] for s in range(r))
-    return block.scale(sqrt_fraction(Q(d * r))).truncate(r)
+    block = block.scale(sqrt_fraction(Q(d * r))).truncate(r)
+    return _read_off(block, r - 1, _ALTERNATING[lower])
 
 
-def _over_terms(terms, direction: GenericDirection, block_jet,
-                route: str) -> RouteValue:
-    """Coefficient r - 1 of the sum over the terms of coef times the
-    group's block jet, the r - 1 below it checked to cancel."""
-    total = _jet_sum(block_jet(direction, at).scale(coef) for coef, at in terms)
-    analytic, residual = split_pole(total, len(direction.values) - 1, route)
-    return RouteValue(analytic.coeff(0), residual, route)
+def tilde_c(tower: Jet, direction: GenericDirection) -> RouteValue:
+    """Limit at 0 of the alternating sum pairing the tower with the upper
+    (block-mean-free) projections."""
+    return _alternating(tower, direction, False)
 
 
-# -- the enumerations: oracles, and the path of every other germ -------------
+def c(tower: Jet, direction: GenericDirection) -> RouteValue:
+    """Limit at 0 of the alternating sum pairing the tower with the lower
+    (block-mean) projections."""
+    return _alternating(tower, direction, True)
 
 
-def _alternating_sum(germ: SmoothGerm, level: BlockProfile,
-                     direction: GenericDirection, lower: bool,
-                     route: str) -> RouteValue:
+def arthur_derivative_value(tower: Jet,
+                            direction: GenericDirection) -> RouteValue:
+    """tilde_c's value relabelled "derivative", with residual 0: the k-th
+    derivative formula at one generic point reads the same coefficient of
+    the same sum, so it is no independent route and no cross-check runs
+    it.  The benchmark's tracer still wraps it by name."""
+    return RouteValue(tilde_c(tower, direction).value, mp.mpf(0),
+                      "derivative")
+
+
+# -- the enumerations: the germ API, and the oracles of the routes -----------
+
+
+def _pole_order(level: BlockProfile) -> int:
+    return level.r - level.k
+
+
+def _check_direction(direction: GenericDirection, level: BlockProfile) -> None:
+    if (direction.d, direction.parts) != (level.d, level.parts):
+        raise ValueError("direction was certified for a different level")
+
+
+def alternating_sum(germ: SmoothGerm, level: BlockProfile,
+                    direction: GenericDirection, lower: bool) -> RouteValue:
+    """Limit at 0 of the alternating sum over the intermediate levels of
+    phi on the upper (lower: block-mean) projections of the line."""
+    _check_direction(direction, level)
     d = level.d
     base = base_profile(d, level.r)
     k = _pole_order(level)
@@ -445,12 +459,14 @@ def _alternating_sum(germ: SmoothGerm, level: BlockProfile,
         jet = germ.line_jet(low_part if lower else upper, k + 1)
         scalar = sign * hat.covolume() * th.covolume() / to_mpf(rat)
         total = total + jet.scale(scalar)
-    analytic, residual = split_pole(total, k, route)
-    return RouteValue(analytic.coeff(0), residual, route)
+    return _read_off(total, k, _ALTERNATING[lower])
 
 
-def _symmetrized_sum(germ: SmoothGerm, level: BlockProfile,
-                     direction: GenericDirection) -> RouteValue:
+def symmetrized_sum(germ: SmoothGerm, level: BlockProfile,
+                    direction: GenericDirection) -> RouteValue:
+    """Limit at 0 of the Weyl average of phi(w lam) over the permuted
+    pairing product."""
+    _check_direction(direction, level)
     d = level.d
     base = base_profile(d, level.r)
     th0 = theta_factor(base, level)
@@ -467,55 +483,4 @@ def _symmetrized_sum(germ: SmoothGerm, level: BlockProfile,
         rat = th0.rational_part(wlam)
         jet = germ.line_jet(wlam, k + 1)
         total = total + jet.scale(covol / to_mpf(rat))
-    analytic, residual = split_pole(total.scale(Q(1, len(perms))), k,
-                                    "symmetrized")
-    return RouteValue(analytic.coeff(0), residual, "symmetrized")
-
-
-# -- the routes ---------------------------------------------------------------
-
-
-def _alternating(germ: SmoothGerm, level: BlockProfile,
-                 direction: GenericDirection, lower: bool,
-                 route: str) -> RouteValue:
-    _check_direction(direction, level)
-    terms = _product_terms(germ, level)
-    if terms is None:
-        return _alternating_sum(germ, level, direction, lower, route)
-    return _over_terms(terms, direction,
-                       partial(_alternating_block, lower=lower), route)
-
-
-def tilde_c(germ: SmoothGerm, level: BlockProfile,
-            direction: GenericDirection) -> RouteValue:
-    """Limit at 0 of the alternating sum pairing phi with the upper
-    (block-mean-free) projections."""
-    return _alternating(germ, level, direction, False, "alternating-upper")
-
-
-def c(germ: SmoothGerm, level: BlockProfile,
-      direction: GenericDirection) -> RouteValue:
-    """Limit at 0 of the alternating sum pairing phi with the lower
-    (block-mean) projections."""
-    return _alternating(germ, level, direction, True, "alternating-lower")
-
-
-def symmetrized_value(germ: SmoothGerm, level: BlockProfile,
-                      direction: GenericDirection) -> RouteValue:
-    """Limit at 0 of the Weyl average of phi(w lam) over the permuted
-    pairing product."""
-    _check_direction(direction, level)
-    terms = _product_terms(germ, level)
-    if terms is None:
-        return _symmetrized_sum(germ, level, direction)
-    return _over_terms(terms, direction, _symmetrized_block, "symmetrized")
-
-
-def arthur_derivative_value(germ: SmoothGerm, level: BlockProfile,
-                            direction: GenericDirection) -> RouteValue:
-    """tilde_c's value relabelled "derivative", with residual 0: the k-th
-    derivative formula at one generic point reads the same coefficient of
-    the same sum, so it is no independent route and no cross-check runs
-    it.  The benchmark's tracer still wraps it by name."""
-    return RouteValue(tilde_c(germ, level, direction).value, mp.mpf(0),
-                      "derivative")
+    return _read_off(total.scale(Q(1, len(perms))), k, "symmetrized")

@@ -244,12 +244,13 @@ class LinearFactor:
     rate_scale: Fraction = Fraction(1)
 
 
-def compose_linear(factors, rates, order: int) -> Jet:
-    """Jet in t of prod_i f_i(rate_i * t), one rate per factor.
+def compose_linear(jets, rates) -> Jet:
+    """Jet in t of prod_i f_i(rate_i * t), from the jet of each f_i in its
+    own variable, one rate per jet.
 
     An empty product is the exact constant jet 1.
     """
     out = Jet.polynomial({0: 1})
-    for factor, rate in zip(factors, rates, strict=True):
-        out = out * factor.scalar_jet(order).scale_arg(rate)
+    for jet, rate in zip(jets, rates, strict=True):
+        out = out * jet.scale_arg(rate)
     return out

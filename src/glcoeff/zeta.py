@@ -394,6 +394,9 @@ def _xi_jet_q(c: Fraction, order: int) -> Jet:
     g_pole = 1 if half <= 0 and half.denominator == 1 else 0
     internal = order + z_pole + g_pole
     zeta_part = zeta_jet(c, internal)
+    if g_pole and c:
+        # a trivial zero of zeta cancels the pole of Gamma(s/2) exactly
+        zeta_part = Jet(1, zeta_part.coeffs[1:], internal)
     gamma_part = gamma_jet(half, internal).scale_arg(Fraction(1, 2))
     pi_part = exp_linear_jet(-mp.log(mp.pi) / 2, internal).scale(
         mp.power(mp.pi, -to_mpf(c) / 2))
@@ -607,7 +610,7 @@ def ztilde_s_jet(n: int, places: PlaceSet, center, order: int,
 def tower_ratio_jet(n: int, places: PlaceSet, order: int,
                     field: NumberFieldData = RATIONAL_FIELD) -> Jet:
     """Jet of the normalized tower ratio T(x) = ztilde_n^S(n + x) /
-    ztilde_n^S(n), the one factor of the coefficient germs."""
+    ztilde_n^S(n), the tower series the group routes take."""
     jet = ztilde_s_jet(n, places, n, order, field)
     return jet.scale(1 / jet.coeff(0))
 

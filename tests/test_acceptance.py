@@ -14,7 +14,7 @@ import pytest
 from glcoeff.cli import _random_germ, main
 from glcoeff.coefficients import (a_coefficient,
                                   prolongation_identity_residuals)
-from glcoeff.gmfamily import c, draw_generic_direction, tilde_c
+from glcoeff.gmfamily import alternating_sum, draw_generic_direction
 from glcoeff.numeric import working
 from glcoeff.orbits import (LeviDatum, Partition, induce,
                             induced_type_oracle, partitions)
@@ -73,8 +73,8 @@ def test_criterion_04_alternating_routes_agree():
             rng = random.Random(f"acceptance:cp:{d}:{r}")
             for _ in range(20):
                 germ = _random_germ(rng, d * r)
-                upper = tilde_c(germ, level, direction)
-                lower = c(germ, level, direction)
+                upper = alternating_sum(germ, level, direction, False)
+                lower = alternating_sum(germ, level, direction, True)
                 gap = abs(upper.value - lower.value) / max(mp.mpf(1),
                                                            abs(upper.value))
                 worst = max(worst, gap)

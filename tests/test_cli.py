@@ -122,8 +122,9 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
-# sha256 of the stdout of seven fast benchmark commands: a refactor that
-# must keep every printed digit fails here if it moves one
+# sha256 of the stdout of seven fast benchmark commands, and of the two
+# verify suites that run the unit value and the germ enumerations: a
+# refactor that must keep every printed digit fails here if it moves one
 PINNED_STDOUT = [
     (("coeff", "--d", "1", "--r", "5", "--S", "", "--prec", "256",
       "--seed", "0"),
@@ -145,14 +146,18 @@ PINNED_STDOUT = [
      "77e15edc361940e89336f05df9f67cd75a13f60a9b096f68c1d8766a54ce66f3"),
     (("verify", "prolongement4", "--n", "3", "--prec", "256", "--seed", "0"),
      "f56c073c6917bc76f570451bfcc1d20242544bedfa53996206fd9178f96a4774"),
+    (("verify", "unit-expansion", "--n", "3", "--prec", "256", "--seed", "0"),
+     "ded18a836d373831621c271797724867c97b1cea82f96ed97a0e157a0be3b02f"),
+    (("verify", "cp-identity", "--n", "3", "--prec", "256", "--seed", "0"),
+     "90dffc612834eb108cbfe091cb4a423022f557953932d1db7c5ea4c48207b55e"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
                          ids=[" ".join(a[:5]) for a, _ in PINNED_STDOUT])
 def test_benchmark_stdout_is_pinned(capsys, argv, digest):
-    """Seven benchmark commands print byte for byte what they printed when
-    the digests were recorded."""
+    """Each pinned command prints byte for byte what it printed when the
+    digests were recorded."""
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -320,9 +325,9 @@ def test_verify_routes_runs_each_group_once_per_row(capsys, monkeypatch):
     levels = []
     symmetrized = coefficients.symmetrized_value
 
-    def counting(germ, level, direction):
-        levels.append(level.parts)
-        return symmetrized(germ, level, direction)
+    def counting(tower, direction):
+        levels.append(direction.parts)
+        return symmetrized(tower, direction)
 
     monkeypatch.setattr(coefficients, "symmetrized_value", counting)
     code, _, _ = run_cli(capsys, "verify", "routes", "--n", "4",

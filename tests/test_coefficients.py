@@ -9,7 +9,7 @@ import concurrent.futures
 import pathlib
 import random
 from fractions import Fraction as Q
-from itertools import permutations
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -24,7 +24,7 @@ from glcoeff.coefficients import (ROUTE_NAMES, J_o_unit,
                                   unit_expansion_residual)
 from glcoeff.gmfamily import (RouteValue, SmoothGerm, draw_generic_direction,
                               symmetrized_value)
-from glcoeff.jets import Jet, LinearFactor, split_pole
+from glcoeff.jets import Jet, split_pole
 from glcoeff.numeric import to_mpf, tolerance, working
 from glcoeff.orbits import (LeviDatum, Partition, enumerate_inducing_pairs,
                             partitions)
@@ -32,8 +32,8 @@ from glcoeff.rootdata import (BlockProfile, base_profile, enumerate_parabolics,
                               group_profile, pairing, project, simple_data,
                               theta_factor)
 from glcoeff.zeta import (EMPTY_PLACES, RATIONAL_FIELD, NumberFieldData,
-                          PlaceSet, ProviderError, vol_minimal_levi,
-                          z_s_local_jet)
+                          PlaceSet, ProviderError, tower_ratio_jet,
+                          vol_minimal_levi, z_s_local_jet)
 from test_gmfamily import value_at_zero
 
 # value of the top coefficient for GL(2) over the rationals:
@@ -92,14 +92,14 @@ def test_diagnostics_record_all_routes():
 @pytest.mark.parametrize("d,parts", [(1, (3,)), (1, (2, 1)), (2, (2,))])
 def test_line_jets_stop_at_the_order_read(monkeypatch, d, parts):
     """Every route reads coefficient k (the pole order) of a summed line
-    jet, so every product of factors is composed to order k + 1 and no
+    jet, so every tower it composes is built to order k + 1 and no
     further."""
     orders = []
     compose_linear = gm.compose_linear
 
-    def recording(factors, rates, order):
-        orders.append(order)
-        return compose_linear(factors, rates, order)
+    def recording(jets, rates):
+        orders.extend(jet.trunc for jet in jets)
+        return compose_linear(jets, rates)
 
     monkeypatch.setattr(gm, "compose_linear", recording)
     with working(128):
@@ -136,33 +136,30 @@ def test_a_tilde_rejects_indivisible_part():
         a_tilde(levi, 2)
 
 
+def place_correction(d, place, order):
+    """The normalized reciprocal of the local factor of one more place,
+    to the given order: the tower series of the larger place set is the
+    smaller one's times this."""
+    jet = z_s_local_jet(d, PlaceSet.parse(place), d, order + 2)
+    return jet.scale(1 / jet.coeff(0)).reciprocal(order + 1)
+
+
 @pytest.mark.parametrize("d,small,extra", [
     (1, "2", "3"),
     (2, "", "2"),
 ])
 def test_place_growth_matches_correction_germ(d, small, extra):
-    """Removing one more place equals multiplying the germ by the
+    """Removing one more place equals multiplying the tower series by the
     normalized reciprocal of that place's local factor."""
     level = group_profile(d, 2)
     S0 = PlaceSet.parse(small)
     S1 = PlaceSet.parse(small + "," + extra if small else extra)
-    Sx = PlaceSet.parse(extra)
     with working(192):
         direct = a_coefficient(level, S1).a_value
-
-        def correction_provider(order):
-            jet = z_s_local_jet(d, Sx, d, order + 2)
-            jet = jet.scale(1 / jet.coeff(0))
-            return jet.reciprocal(order + 1)
-
-        coweights = simple_data(base_profile(d, 2), level).coweights
-        correction = SmoothGerm(
-            ((Q(1), tuple(LinearFactor(correction_provider, w, Q(1, d))
-                          for w in coweights)),))
-        germ = phi_for_L(level, S0) * correction
+        tower = tower_ratio_jet(d, S0, 2) * place_correction(d, extra, 2)
         direction = draw_generic_direction(d, level.parts, 0)
-        via_germ = symmetrized_value(germ, level, direction).value
-        assert abs(direct - via_germ) < mp.mpf("1e-40")
+        via_tower = symmetrized_value(tower, direction).value
+        assert abs(direct - via_tower) < mp.mpf("1e-40")
 
 
 @pytest.mark.parametrize("d,r", [(1, 2), (1, 3), (2, 2)])
@@ -173,6 +170,37 @@ def test_continuation_identity_pointwise(d, r):
         for P in enumerate_parabolics(d, r):
             residuals = prolongation_identity_residuals(P, samples=4)
             assert max(residuals) < mp.mpf("1e-50"), P.parts
+
+
+@pytest.mark.parametrize("d,r", [(1, 3), (2, 2), (3, 2)])
+def test_continuation_reads_true_off_center_tower_values(monkeypatch, d, r):
+    """Both sides of the continuation identity multiply the same
+    off-center tower values, so its residuals cannot see them: recompute
+    every such value the check reads at seed 0, over its first two
+    samples, as (s - d) prod_j xi(s - d + j) from mpmath's zeta and
+    gamma."""
+    seen = {}
+    ztilde_jet = coefficients.ztilde_jet
+
+    def recording(n, center, order, field=RATIONAL_FIELD):
+        jet = ztilde_jet(n, center, order, field)
+        if center != n:
+            seen[n, center] = jet.coeff(0)
+        return jet
+
+    def xi(s):
+        return mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
+
+    monkeypatch.setattr(coefficients, "ztilde_jet", recording)
+    with working(256):
+        for P in enumerate_parabolics(d, r):
+            prolongation_identity_residuals(P, seed=0, samples=2)
+        assert seen
+        for (n, center), value in seen.items():
+            s = to_mpf(center)
+            expected = (s - n) * mp.fprod(xi(s - n + j)
+                                          for j in range(1, n + 1))
+            assert abs(value - expected) < mp.mpf(2) ** -240 * abs(expected)
 
 
 def test_unit_value_gl1_and_gl2():
@@ -218,44 +246,80 @@ def test_expansion_of_the_unit_function(d, r, places):
         assert gap < mp.mpf("1e-40")
 
 
+def _ordering_sum(d, comp, values, tower):
+    """Sum over every ordering of the coarse blocks of the fine tower
+    product over the coarse theta, or None if theta over the coarse
+    coroots or a fine-coweight pairing vanishes in some ordering; with
+    tower None, only that check.
+
+    The orderings are walked depth-first in lexicographic order.  A block
+    placed after a prefix brings the fine coweights of its own boundaries,
+    whose pairings with the ordered vector depend on the prefix only, so
+    orderings that share a prefix share its pairings and partial products.
+    """
+    m, r = len(comp), sum(comp)
+    fine = simple_data(base_profile(d, r)).coweights
+    total = Jet.polynomial({})
+    thetas = {}
+
+    def walk(prefix, vec, jet):
+        nonlocal total
+        if len(prefix) == m:
+            sizes = tuple(comp[i] for i in prefix)
+            if sizes not in thetas:
+                thetas[sizes] = theta_factor(BlockProfile(d, sizes))
+            th = thetas[sizes]
+            rat = th.rational_part(vec)
+            if rat == 0:
+                return False
+            if tower is not None:
+                total = total + jet.scale(th.covolume() / to_mpf(rat))
+            return True
+        start = len(vec) // d
+        for j in range(m):
+            if j in prefix:
+                continue
+            grown = vec + (values[j],) * (d * comp[j])
+            # the pairings of the boundaries up to grown's end do not
+            # depend on the order of the blocks after it
+            rest = [i for i in range(m) if i not in prefix and i != j]
+            full = grown + tuple(values[i] for i in rest
+                                 for _ in range(d * comp[i]))
+            step = jet
+            for b in range(start + 1, min(start + comp[j], r - 1) + 1):
+                x = pairing(full, fine[b - 1])
+                if x == 0:
+                    return False
+                if tower is not None:
+                    step = step * tower.scale_arg(x / d)
+            if not walk(prefix + (j,), grown, step):
+                return False
+        return True
+
+    return total if walk((), (), Jet.polynomial({0: 1})) else None
+
+
 def _coarse_generic_by_orderings(d, comp, values):
     """The oracle of _coarse_pairings: theta over the coarse coroots and
     every fine-coweight pairing are nonzero in each of the m! orderings."""
-    fine = simple_data(base_profile(d, sum(comp))).coweights
-    for sigma in permutations(range(len(comp))):
-        prof = BlockProfile(d, tuple(comp[i] for i in sigma))
-        vec = tuple(v for i in sigma for v in (values[i],) * (d * comp[i]))
-        if theta_factor(prof).rational_part(vec) == 0:
-            return False
-        if any(pairing(vec, w) == 0 for w in fine):
-            return False
-    return True
+    return _ordering_sum(d, comp, values, None) is not None
 
 
 def _coarse_family_by_orderings(d, comp, places, seed=0):
     """The oracle of _coarse_family_value: the m!-checked draw, its
     rejected candidates, and the sum over every ordering of the coarse
     blocks of the fine tower product over the coarse theta."""
-    m, r = len(comp), sum(comp)
+    m = len(comp)
     rng = random.Random(f"coarse:{seed}:{d}:{comp}:{places.label()}")
+    tower = z_s_local_jet(d, places, d, m)
     rejected = []
     while True:
         values = tuple(Q(rng.randint(1, 999) * rng.choice((1, -1)),
                          rng.randint(1, 9)) for _ in range(m))
-        if _coarse_generic_by_orderings(d, comp, values):
+        total = _ordering_sum(d, comp, values, tower)
+        if total is not None:
             break
         rejected.append(values)
-    fine = simple_data(base_profile(d, r)).coweights
-    tower = z_s_local_jet(d, places, d, m)
-    total = Jet.polynomial({})
-    for sigma in permutations(range(m)):
-        prof = BlockProfile(d, tuple(comp[i] for i in sigma))
-        vec = tuple(v for i in sigma for v in (values[i],) * (d * comp[i]))
-        th = theta_factor(prof)
-        jet = Jet.polynomial({0: 1})
-        for w in fine:
-            jet = jet * tower.scale_arg(pairing(vec, w) / d)
-        total = total + jet.scale(th.covolume() / to_mpf(th.rational_part(vec)))
     analytic, _ = split_pole(total, m - 1)
     return values, rejected, analytic.coeff(0)
 
@@ -357,13 +421,13 @@ def test_file_backed_field_failure_propagates(gaussian_field_file):
 
 
 def _enumeration_refused(*args, **kwargs):
-    raise AssertionError("an enumeration ran on a product germ")
+    raise AssertionError("an enumeration ran on the coefficient path")
 
 
 def test_coefficient_paths_never_enumerate(monkeypatch):
-    """The germs of a_coefficient, J_o_unit and expansion are product
-    germs, so no route falls back to a Weyl or parabolic enumeration."""
-    for name in ("_symmetrized_sum", "_alternating_sum"):
+    """a_coefficient, J_o_unit and expansion hand the routes a tower
+    series, so no Weyl or parabolic enumeration runs."""
+    for name in ("symmetrized_sum", "alternating_sum"):
         monkeypatch.setattr(gm, name, _enumeration_refused)
     with working(128):
         a_coefficient(BlockProfile(2, (2, 1)), PlaceSet.parse("2"))
@@ -455,31 +519,20 @@ def test_pool_starts_no_more_workers_than_terms(monkeypatch):
 
 @pytest.mark.parametrize("d,small,extra", [(1, "2", "3"), (2, "", "2")])
 def test_correction_germ_takes_the_block_routes(monkeypatch, d, small, extra):
-    """Two factors per coweight (tower ratio times place correction) still
-    form a product germ, and its block routes reproduce the coefficient
-    with the larger place set."""
+    """The tower ratio times the place correction is one tower series,
+    and the block routes on it reproduce the coefficient with the larger
+    place set, with no enumeration."""
     level = group_profile(d, 3)
     S1 = PlaceSet.parse(small + "," + extra if small else extra)
     with working(192):
         direct = a_coefficient(level, S1).a_value
-
-        def correction_provider(order):
-            jet = z_s_local_jet(d, PlaceSet.parse(extra), d, order + 2)
-            jet = jet.scale(1 / jet.coeff(0))
-            return jet.reciprocal(order + 1)
-
-        coweights = simple_data(base_profile(d, 3), level).coweights
-        correction = SmoothGerm(
-            ((Q(1), tuple(LinearFactor(correction_provider, w, Q(1, d))
-                          for w in coweights)),))
-        germ = phi_for_L(level, PlaceSet.parse(small)) * correction
-        ((_, table),) = gm._product_terms(germ, level)
-        assert [len(factors) for factors in table] == [0, 2, 2, 0]
-        for name in ("_symmetrized_sum", "_alternating_sum"):
+        tower = (tower_ratio_jet(d, PlaceSet.parse(small), 3)
+                 * place_correction(d, extra, 3))
+        for name in ("symmetrized_sum", "alternating_sum"):
             monkeypatch.setattr(gm, name, _enumeration_refused)
         direction = draw_generic_direction(d, level.parts, 0)
-        via_germ = symmetrized_value(germ, level, direction).value
-        assert abs(direct - via_germ) < mp.mpf("1e-40")
+        via_tower = symmetrized_value(tower, direction).value
+        assert abs(direct - via_tower) < mp.mpf("1e-40")
 
 
 @pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 7)
@@ -490,11 +543,9 @@ def test_block_routes_match_their_enumerations(d, r):
     with the Weyl or parabolic enumeration of phi_for_L(level) along the
     level's own direction."""
     oracles = {
-        "symmetrized": lambda g, lv, dr: gm._symmetrized_sum(g, lv, dr),
-        "alternating-upper": lambda g, lv, dr: gm._alternating_sum(
-            g, lv, dr, False, "alternating-upper"),
-        "alternating-lower": lambda g, lv, dr: gm._alternating_sum(
-            g, lv, dr, True, "alternating-lower"),
+        "symmetrized": gm.symmetrized_sum,
+        "alternating-upper": partial(gm.alternating_sum, lower=False),
+        "alternating-lower": partial(gm.alternating_sum, lower=True),
     }
     worst = mp.mpf(0)
     with working(256):
@@ -536,9 +587,9 @@ def test_expansion_runs_the_routes_once_per_group_size(monkeypatch):
     levels = []
     symmetrized = coefficients.symmetrized_value
 
-    def counting(germ, level, direction):
-        levels.append(level.parts)
-        return symmetrized(germ, level, direction)
+    def counting(tower, direction):
+        levels.append(direction.parts)
+        return symmetrized(tower, direction)
 
     monkeypatch.setattr(coefficients, "symmetrized_value", counting)
     with working(128):

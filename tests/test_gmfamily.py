@@ -1,5 +1,6 @@
-"""Tests for the germ evaluation engine: the three limit routes, genericity
-certificates, and the structural invariants that tie them together."""
+"""Tests for the germ evaluation engine: the three limit routes on a tower
+series, the enumerations that take any germ, genericity certificates,
+and the structural invariants that tie them together."""
 
 import random
 from fractions import Fraction
@@ -15,15 +16,17 @@ from glcoeff.gmfamily import (
     GenericDirection,
     NotGenericError,
     SmoothGerm,
+    alternating_sum,
     arthur_derivative_value,
     c,
     certify_direction,
     draw_generic_direction,
     levels_between,
+    symmetrized_sum,
     symmetrized_value,
     tilde_c,
 )
-from glcoeff.jets import CancellationError, LinearFactor
+from glcoeff.jets import CancellationError, Jet, LinearFactor
 from glcoeff.numeric import to_mpf, tolerance, working
 from glcoeff.rootdata import (BlockProfile, base_profile, block_permutations,
                               compositions, hat_theta_factor, pairing,
@@ -32,7 +35,20 @@ from glcoeff.rootdata import (BlockProfile, base_profile, block_permutations,
 
 Q = Fraction
 
-ROUTES = (tilde_c, c, symmetrized_value)
+
+def upper_sum(germ, level, direction):
+    return alternating_sum(germ, level, direction, False)
+
+
+def lower_sum(germ, level, direction):
+    return alternating_sum(germ, level, direction, True)
+
+
+# the germ API: the three enumerations, on any germ and any level
+ENUMERATIONS = (upper_sum, lower_sum, symmetrized_sum)
+# the routes on a tower series, each with the enumeration it replaces
+ORACLES = {tilde_c: upper_sum, c: lower_sum,
+           symmetrized_value: symmetrized_sum}
 
 
 def value_at_zero(germ):
@@ -84,7 +100,7 @@ def test_constant_germ_gives_zero_in_gl2():
     direction = draw_generic_direction(1, (2,), seed=1)
     germ = SmoothGerm(((Q(7, 3), ()),))
     with working(128):
-        for route in ROUTES:
+        for route in ENUMERATIONS:
             assert abs(route(germ, level, direction).value) < mp.mpf(2) ** -100
 
 
@@ -96,7 +112,7 @@ def test_exponential_germ_gives_sqrt2_in_gl2():
     germ = SmoothGerm.exp_pairing((Q(1), Q(-1)))
     with working(128):
         target = mp.sqrt(2)
-        for route in ROUTES:
+        for route in ENUMERATIONS:
             assert abs(route(germ, level, direction).value - target) < mp.mpf(10) ** -30
 
 
@@ -111,7 +127,7 @@ def test_trivial_level_returns_germ_value_at_zero():
     with working(128):
         exact = value_at_zero(germ)
         assert exact == 3
-        for route in ROUTES:
+        for route in ENUMERATIONS:
             assert abs(route(germ, level, direction).value - 3) < mp.mpf(10) ** -30
 
 
@@ -128,7 +144,8 @@ def test_route_agreement_on_random_germs(d, parts):
     with working(160):
         for _ in range(3):
             germ = random_germ(rng, n)
-            values = [route(germ, level, direction).value for route in ROUTES]
+            values = [route(germ, level, direction).value
+                      for route in ENUMERATIONS]
             assert spread(values) < mp.mpf(10) ** -30
 
 
@@ -140,8 +157,8 @@ def test_value_independent_of_direction():
         first = draw_generic_direction(1, (3, 2), seed=4, salt=0)
         second = draw_generic_direction(1, (3, 2), seed=4, salt=1)
         assert first.values != second.values
-        a = tilde_c(germ, level, first).value
-        b = tilde_c(germ, level, second).value
+        a = upper_sum(germ, level, first).value
+        b = upper_sum(germ, level, second).value
         assert abs(a - b) < mp.mpf(10) ** -30 * max(1, abs(a))
 
 
@@ -157,8 +174,8 @@ def test_value_independent_of_direction_scaling():
         scaled = GenericDirection(
             1, (2, 2), scaled_values, certify_direction(1, (2, 2), scaled_values)
         )
-        a = tilde_c(germ, level, base).value
-        b = tilde_c(germ, level, scaled).value
+        a = upper_sum(germ, level, base).value
+        b = upper_sum(germ, level, scaled).value
         assert abs(a - b) < mp.mpf(2) ** -100
 
 
@@ -171,13 +188,13 @@ def test_symmetrized_value_invariant_under_direction_permutation(d, parts):
     germ = random_germ(rng, d * sum(parts))
     with working(128):
         base = draw_generic_direction(d, parts, seed=6)
-        reference = symmetrized_value(germ, level, base).value
+        reference = symmetrized_sum(germ, level, base).value
         for sigma in block_permutations(parts):
             values = tuple(base.values[sigma[i]] for i in range(len(sigma)))
             moved = GenericDirection(
                 d, parts, values, certify_direction(d, parts, values)
             )
-            got = symmetrized_value(germ, level, moved).value
+            got = symmetrized_sum(germ, level, moved).value
             assert abs(got - reference) < mp.mpf(10) ** -30 * max(1, abs(reference))
 
 
@@ -191,11 +208,12 @@ def test_routes_agree_on_block_permuted_germs():
     )
     direction = draw_generic_direction(1, (3,), seed=1)
     with working(128):
-        reference = tilde_c(germ, level, direction).value
+        reference = upper_sum(germ, level, direction).value
         seen_different = False
         for sigma in block_permutations((3,)):
             moved = block_permuted(germ, 1, sigma)
-            values = [route(moved, level, direction).value for route in ROUTES]
+            values = [route(moved, level, direction).value
+                      for route in ENUMERATIONS]
             assert spread(values) < mp.mpf(10) ** -30
             if abs(values[0] - reference) > mp.mpf("1e-6"):
                 seen_different = True
@@ -208,9 +226,9 @@ def test_functional_is_linear():
     rng = random.Random(17)
     f, g = random_germ(rng, 3), random_germ(rng, 3)
     with working(128):
-        vf = tilde_c(f, level, direction).value
-        vg = tilde_c(g, level, direction).value
-        combined = tilde_c(f + g.scaled(Q(-5, 2)), level, direction).value
+        vf = upper_sum(f, level, direction).value
+        vg = upper_sum(g, level, direction).value
+        combined = upper_sum(f + g.scaled(Q(-5, 2)), level, direction).value
         assert abs(combined - (vf - Q(5, 2) * vg)) < mp.mpf(10) ** -30
 
 
@@ -223,7 +241,7 @@ def test_homogeneous_degree_selection():
     with working(128):
         for degree in range(5):
             germ = SmoothGerm.power(form, degree)
-            value = tilde_c(germ, level, direction).value
+            value = upper_sum(germ, level, direction).value
             if degree == 2:
                 assert abs(value) > mp.mpf("1e-6")
             else:
@@ -318,7 +336,7 @@ def test_wrong_value_count_is_rejected():
 def test_direction_level_mismatch_is_rejected():
     direction = draw_generic_direction(1, (2, 1), seed=1)
     germ = SmoothGerm(((Q(1), ()),))
-    for route in ROUTES:
+    for route in ENUMERATIONS:
         with pytest.raises(ValueError):
             route(germ, BlockProfile(1, (3,)), direction)
 
@@ -330,41 +348,27 @@ def test_unachievable_tolerance_raises(monkeypatch):
     )
     direction = draw_generic_direction(1, (3,), seed=1)
     with working(128):
-        residual = tilde_c(germ, level, direction).residual
+        residual = upper_sum(germ, level, direction).residual
         assert residual > 0
         monkeypatch.setattr(jets, "tolerance", lambda: mp.mpf(0))
         with pytest.raises(CancellationError):
-            tilde_c(germ, level, direction)
+            upper_sum(germ, level, direction)
 
 
-def random_product_germ(rng, level):
-    """A random germ in product form: every factor pairs lambda with a
-    coweight of (base, level), some coweights more than once, some not at
-    all, over two terms."""
+def random_tower(rng, r):
+    """A random tower series to order r: rational coefficients, and a
+    constant term other than 1."""
+    coeffs = {k: Q(rng.randint(-9, 9), rng.randint(1, 5)) for k in range(r)}
+    coeffs[0] = Q(rng.randint(14, 40), 13)
+    return Jet.polynomial(coeffs).truncate(r)
+
+
+def tower_germ(tower, level):
+    """The product germ "tower at rate 1/d on every coweight" of (base,
+    level): the coefficient germ, with the tower in place of T."""
     coweights = simple_data(base_profile(level.d, level.r), level).coweights
-
-    def atom():
-        form = rng.choice(coweights)
-        kind = rng.randrange(3)
-        if kind == 0:
-            return SmoothGerm.exp_pairing(form, Q(rng.randint(-3, 3), 2))
-        if kind == 1:
-            return SmoothGerm.linear(form, shift=rng.randint(1, 4))
-        return SmoothGerm.power(form, rng.randint(0, 2))
-
-    germ = SmoothGerm(((Q(rng.randint(1, 5), 3), ()),))
-    for _ in range(rng.randint(1, 2 * len(coweights))):
-        germ = germ * atom()
-    return germ + atom().scaled(Q(rng.randint(-3, 3), rng.randint(1, 3)))
-
-
-ORACLES = {
-    symmetrized_value: lambda g, lv, dr: gm._symmetrized_sum(g, lv, dr),
-    tilde_c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, False,
-                                                   "alternating-upper"),
-    c: lambda g, lv, dr: gm._alternating_sum(g, lv, dr, True,
-                                             "alternating-lower"),
-}
+    return SmoothGerm.product(LinearFactor(tower.truncate, w, Q(1, level.d))
+                              for w in coweights)
 
 
 @pytest.mark.parametrize(
@@ -373,87 +377,93 @@ ORACLES = {
      (3, (1, 2))],
 )
 def test_block_routes_match_their_enumerations_on_product_germs(d, parts):
-    """On the group each polynomial route agrees with the permutation or
-    composition sum it replaces, on random germs in product form.  A Levi
-    level is never split: its product germs take the enumerations, and
-    the routes still agree."""
+    """On the group each route on a random tower series equals the
+    permutation or composition sum it replaces, on the product germ of that
+    tower.  A Levi level has no route: its product germs take the
+    enumerations, and they agree."""
     rng = random.Random(f"{d}:{parts}:product")
     level = BlockProfile(d, parts)
     direction = draw_generic_direction(d, parts, seed=3)
     with working(160):
         for _ in range(3):
-            germ = random_product_germ(rng, level)
+            tower = random_tower(rng, level.r)
+            germ = tower_germ(tower, level)
             if len(parts) > 1:
-                assert gm._product_terms(germ, level) is None
-                values = [route(germ, level, direction).value
-                          for route in ROUTES]
+                values = [enumeration(germ, level, direction).value
+                          for enumeration in ENUMERATIONS]
                 assert spread(values) < tolerance()
                 continue
-            assert gm._product_terms(germ, level) is not None
             for route, oracle in ORACLES.items():
-                fast = route(germ, level, direction).value
+                fast = route(tower, direction).value
                 slow = oracle(germ, level, direction).value
                 assert abs(fast - slow) < tolerance() * max(1, abs(slow)), route
 
 
-def test_germ_off_the_coweights_takes_the_enumeration(monkeypatch):
-    """One factor on a root instead of a coweight sends every route to
-    its enumeration, and the routes still agree."""
-    level = BlockProfile(1, (3, 2))
-    coweights = simple_data(base_profile(1, 5), level).coweights
-    germ = SmoothGerm.product(())
-    for w in coweights:
-        germ = germ * SmoothGerm.exp_pairing(w)
-    germ = germ * SmoothGerm.linear((Q(1), Q(-1), Q(0), Q(0), Q(0)), shift=2)
-    assert gm._product_terms(germ, level) is None
-    called = []
-    for name in ("_symmetrized_sum", "_alternating_sum"):
-        original = getattr(gm, name)
-
-        def spy(*args, _name=name, _original=original, **kwargs):
-            called.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(gm, name, spy)
-    direction = draw_generic_direction(1, (3, 2), seed=2)
+def test_germ_off_the_coweights_takes_the_enumeration():
+    """The routes take a tower series only, so a germ with one factor on a
+    root instead of a coweight takes the enumerations, and they agree; the
+    extra factor moves the value off the route value of the tower."""
+    level = BlockProfile(1, (4,))
+    direction = draw_generic_direction(1, (4,), seed=2)
     with working(160):
-        values = [route(germ, level, direction).value for route in ROUTES]
+        tower = random_tower(random.Random(2), 4)
+        germ = tower_germ(tower, level) * SmoothGerm.linear(
+            (Q(1), Q(-1), Q(0), Q(0)), shift=2)
+        values = [enumeration(germ, level, direction).value
+                  for enumeration in ENUMERATIONS]
         assert spread(values) < tolerance()
-    assert sorted(called) == ["_alternating_sum"] * 2 + ["_symmetrized_sum"]
+        route = tilde_c(tower, direction).value
+        assert abs(values[0] - route) > mp.mpf("1e-6") * max(1, abs(route))
 
 
 def test_block_routes_check_cancellation(monkeypatch):
-    """The route jet of a product germ on the group must cancel below its
-    pole order; the derivative identity reports no residual of its own."""
-    level = BlockProfile(1, (4,))
-    germ = random_product_germ(random.Random(4), level)
-    assert gm._product_terms(germ, level) is not None
+    """The route jet of a tower series must cancel below its pole order;
+    the derivative identity reports no residual of its own."""
     direction = draw_generic_direction(1, (4,), seed=1)
     with working(128):
-        assert tilde_c(germ, level, direction).residual > 0
-        assert arthur_derivative_value(germ, level, direction).residual == 0
+        tower = random_tower(random.Random(4), 4)
+        assert tilde_c(tower, direction).residual > 0
+        assert arthur_derivative_value(tower, direction).residual == 0
         monkeypatch.setattr(jets, "tolerance", lambda: mp.mpf(0))
-        for route in ROUTES:
+        for route in ORACLES:
             with pytest.raises(CancellationError):
-                route(germ, level, direction)
+                route(tower, direction)
 
 
 def test_derivative_route_is_tilde_c_read_unchecked():
     """arthur_derivative_value is tilde_c's value relabelled, with
-    residual 0, on a product germ (group route) and on a random germ
-    (enumeration)."""
+    residual 0."""
     rng = random.Random(8)
-    group, levi = BlockProfile(1, (4,)), BlockProfile(2, (2, 1))
-    cases = ((random_product_germ(rng, group), group),
-             (random_germ(rng, 6), levi))
     with working(160):
-        for germ, level in cases:
-            direction = draw_generic_direction(level.d, level.parts, seed=2)
-            assert (gm._product_terms(germ, level) is None) == (level is levi)
-            derivative = arthur_derivative_value(germ, level, direction)
-            assert derivative.value == tilde_c(germ, level, direction).value
+        for d, r in ((1, 4), (2, 3)):
+            tower = random_tower(rng, r)
+            direction = draw_generic_direction(d, (r,), seed=2)
+            derivative = arthur_derivative_value(tower, direction)
+            assert derivative.value == tilde_c(tower, direction).value
             assert derivative.residual == 0
             assert derivative.route == "derivative"
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_routes_are_homogeneous_of_degree_r_minus_1_in_the_tower(r):
+    """Each inner boundary 0 < i < r brings one tower factor and the outer
+    boundaries 0 and r none, so scaling the tower by c scales every route
+    by c^(r-1); a factor on an outer boundary would make it c^r.  A
+    direction certified for a Levi level is rejected."""
+    rng = random.Random(f"scale:{r}")
+    direction = draw_generic_direction(1, (r,), seed=r)
+    levi = draw_generic_direction(1, (r - 1, 1), seed=r)
+    factor = Q(5, 3)
+    with working(160):
+        tower = random_tower(rng, r)
+        for route in ORACLES:
+            plain = route(tower, direction).value
+            assert abs(plain) > mp.mpf("1e-6")
+            target = to_mpf(factor) ** (r - 1) * plain
+            scaled = route(tower.scale(factor), direction).value
+            assert abs(scaled - target) < tolerance() * max(1, abs(target))
+            with pytest.raises(ValueError):
+                route(tower, levi)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

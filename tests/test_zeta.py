@@ -266,6 +266,27 @@ def test_completed_zeta_special_values():
         assert abs(x0.coeff(-1) + 1) < mp.mpf(2) ** -120
 
 
+def test_xi_is_analytic_at_the_trivial_zeros():
+    """At a trivial zero of zeta the pole of Gamma(s/2) cancels exactly,
+    so xi has no negative order there.  By the functional equation its
+    Taylor series at -2 and -4 is that of xi(3 - t) and xi(5 - t), from
+    mpmath's zeta and gamma; a tower through them starts one order later
+    too."""
+    prec = 128
+    with working(prec):
+        def xi(s):
+            return mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
+
+        for center in (-2, -4):
+            jet = Z.xi_jet(center, 3)
+            assert jet.low == 0, center
+            reference = mp.taylor(lambda t: xi(1 - center - t), 0, 2)
+            for k, value in enumerate(reference):
+                assert abs(jet.coeff(k) - value) < mp.mpf(2) ** -(prec - 10)
+        # ztilde_3 at 0 is xi(-2) xi(-1) xi(0) times s - 3: one pole only
+        assert Z.ztilde_jet(3, 0, 2).low == -1
+
+
 def test_completed_zeta_functional_equation():
     with working(96):
         a = Z.xi_jet(Fraction(3, 10), 3)
