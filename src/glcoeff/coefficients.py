@@ -1,10 +1,10 @@
 """Global coefficients of the fine expansion at block-regular nilpotent orbits.
 
 The payload of the package.  On the group GL(d*m) the coefficient is
-the limit at 0 of a Weyl-symmetrized product of partial zeta-tower jets,
 computed by the three independent routes of `gmfamily` on the tower
-series and cross-checked (`_group_routes`, the only place the routes run
-for a coefficient).  A Levi grouping the r inner d-blocks into parts
+series, built once per coefficient path and cut to order m, and
+`_cross_checked_routes` applies the covolume they leave out and
+cross-checks them.  A Levi grouping the r inner d-blocks into parts
 gets the product of the group coefficients of its parts, route by route.
 The module also evaluates the regularized unit-function integral, checks
 the analytic continuation identity that glues the unit-function
@@ -18,7 +18,7 @@ landed, and the cancellation residuals of the removable poles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -27,8 +27,8 @@ from math import factorial, prod
 import mpmath as mp
 
 from .gmfamily import (GenericDirection, RouteValue, SmoothGerm, c,
-                       draw_generic_direction, held_karp, interval_pairings,
-                       symmetrized_value, tilde_c)
+                       draw_generic_direction, draw_values, held_karp,
+                       interval_pairings, symmetrized_value, tilde_c)
 from .jets import Jet, LinearFactor, split_pole
 from .numeric import (requested_prec, sqrt_fraction, to_mpf, tolerance,
                       working)
@@ -71,13 +71,12 @@ def _route_gap(values, where: str) -> mp.mpf:
 
 def _cross_checked_routes(tower: Jet, direction: GenericDirection,
                           where: str) -> tuple[RouteValue, ...]:
-    """The three routes on the tower series, in ROUTE_NAMES order,
-    checked by _route_gap."""
-    routes = (
-        symmetrized_value(tower, direction),
-        tilde_c(tower, direction),
-        c(tower, direction),
-    )
+    """The three routes on the tower series, in ROUTE_NAMES order, times
+    the covolume sqrt(r d^(1-r)) they leave out, checked by _route_gap."""
+    r = len(direction.values)
+    covol = sqrt_fraction(Q(r, direction.d ** (r - 1)))
+    routes = tuple(replace(rv, value=covol * rv.value) for rv in (
+        route(tower, direction) for route in (symmetrized_value, tilde_c, c)))
     _route_gap([rv.value for rv in routes], where)
     return routes
 
@@ -155,35 +154,39 @@ def _levi_coefficient(level: BlockProfile, groups: dict[int, dict],
     )
 
 
-def _group_routes(d: int, m: int, places: PlaceSet, field: NumberFieldData,
-                  seed: int) -> dict:
+def _group_routes(tower: Jet, d: int, m: int, seed: int, label: str) -> dict:
     """Values and residuals of the three cross-checked routes of a(GL(d*m))."""
-    routes = _cross_checked_routes(tower_ratio_jet(d, places, m, field),
+    routes = _cross_checked_routes(tower,
                                    draw_generic_direction(d, (m,), seed),
-                                   f"level {(m,)}, S={places.label()}")
+                                   f"level {(m,)}, S={label}")
     return {"routes": {rv.route: rv.value for rv in routes},
             "residuals": {rv.route: rv.residual for rv in routes}}
 
 
 def _term_worker(args) -> dict:
-    (d, m, places, field, seed, prec) = args
+    *task, prec = args
     with working(prec):
-        return _group_routes(d, m, places, field, seed)
+        return _group_routes(*task)
 
 
 def _group_coefficients(d: int, sizes, places: PlaceSet,
                         field: NumberFieldData, seed: int,
                         jobs: int = 1) -> dict[int, dict]:
-    """_group_routes of GL(d*m) for every distinct m > 1 in sizes.  With
-    jobs > 1 each m is one pool task, largest first."""
+    """_group_routes of GL(d*m) for every distinct m > 1 in sizes, on one
+    tower series cut to each m.  With jobs > 1 each m is one pool task,
+    largest first, carrying its tower, so no worker builds a zeta jet."""
     sizes = sorted({m for m in sizes if m > 1}, reverse=True)
+    if not sizes:
+        return {}
+    tower = tower_ratio_jet(d, places, sizes[0], field)
+    tasks = [(tower.truncate(m), d, m, seed, places.label()) for m in sizes]
     workers = min(jobs, len(sizes))  # a fork pool starts every worker at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(d, m, places, field, seed, requested_prec()) for m in sizes]
+        args = [task + (requested_prec(),) for task in tasks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return dict(zip(sizes, pool.map(_term_worker, args)))
-    return {m: _group_routes(d, m, places, field, seed) for m in sizes}
+    return {m: _group_routes(*task) for m, task in zip(sizes, tasks)}
 
 
 @working()
@@ -352,8 +355,7 @@ def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
         return local_value ** (r - 1)
     rng = random.Random(f"coarse:{seed}:{d}:{comp}:{places.label()}")
     for _ in range(256):
-        values = tuple(Q(rng.randint(1, 999) * rng.choice((1, -1)),
-                         rng.randint(1, 9)) for _ in range(m))
+        values = draw_values(rng, m)
         pairings = _coarse_pairings(comp, values)
         if pairings is not None:
             break

@@ -1,39 +1,30 @@
 """Limit values of alternating parabolic sums along certified generic lines.
 
-Everything here evaluates expressions of the shape
+Each sum over parabolic levels of (sign) * phi(projected lambda) /
+(pairing products) blows up term by term like t^-k on the line
+lambda = t*lam0 and is analytic: `jets.split_pole` checks that the k
+lowest coefficients of the summed jet cancel and reads coefficient k,
+so every jet is built to order k + 1 and no further.
 
-    sum over parabolic levels of  (sign) * phi(projected lambda)
-                                  / (products of pairing factors)
+Three independent routes give the group value a(GL(d r)) from the tower
+series T, phi being T at rate 1/d times the pairing with each of the
+r - 1 inner coweights: two alternating sums over parabolics (tilde_c,
+c) and a Weyl-symmetrized sum (symmetrized_value).  Every pairing is a
+partial sum of the direction's r block values, so the routes build no
+vector: the symmetrized route is a Held-Karp sum (`held_karp`, the one
+ordering sum of the package), r * 2^r jet products, and the alternating
+routes a chain over the last P-interval, O(r^3) jet operations.  They
+multiply T's jets only by exact rationals lifted into T's ring (see
+`jets`), so over Fraction they are exact, and leave out the covolume
+sqrt(r d^(1-r)), which `coefficients._cross_checked_routes` applies
+after the read-off.  For a normalized T the rest is [x^(r-1)] T^r / r^2,
+the Kreweras sum over noncrossing partitions (Speicher, Math. Ann. 298,
+1994).  arthur_derivative_value is tilde_c relabelled.
 
-restricted to a line lambda = t*lam0 and continued to t = 0.  Each
-individual term blows up like t^-k; the sum is analytic, and the code
-makes that literal: it adds the numerator jets and `jets.split_pole`
-checks that the k lowest coefficients cancel to the tolerance, divides
-by t^k once and hands back the constant term.  That constant term is
-coefficient k of the sum, so every jet is built to order k + 1 and no
-further.
-
-Three independent routes to the same number are provided: two
-alternating sums over parabolics (tilde_c, c) and a Weyl-symmetrized sum
-(symmetrized_value).  Their agreement is the main correctness instrument
-of the package.  arthur_derivative_value, the k-th derivative formula at
-one generic point, reads the same coefficient of the same sum as tilde_c
-and is kept only as that identity.
-
-The routes run on the group GL(d r) and take the tower series T: phi is
-T at rate 1/d times the pairing with each of the r - 1 inner coweights,
-the coefficient germ of the package.  Every pairing is a partial sum of
-the direction's r block values, so the routes build no vector: the
-symmetrized route is a Held-Karp sum over (set of leading inner blocks,
-last block), r * 2^r jet products, and the alternating routes are a
-chain over the last P-interval, O(r^3) jet operations, whose hat theta
-is the product of the interior upper pairings.  Germs go to the
-enumerations over the Weyl group and the 2^(r-1) intermediate levels
-(symmetrized_sum, alternating_sum), on any level.  They pair vectors
-with coweights and share no pairing code with the routes, whose oracles
-they are.
-`held_karp` is the one ordering sum of the package; the coarse-block
-family of `coefficients` runs through it too.
+Germs go to the enumerations over the Weyl group and the 2^(r-1)
+intermediate levels (symmetrized_sum, alternating_sum), on any level,
+in mpf with every covolume.  They pair vectors with coweights and share
+no pairing code with the routes, whose oracles they are.
 
 Directions are never trusted to be generic: they are drawn
 deterministically from a seed and certified by exact rational
@@ -46,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, combinations, product
 from math import factorial, prod
 import random
@@ -55,7 +46,7 @@ import mpmath as mp
 
 from .jets import (Jet, LinearFactor, compose_linear, exp_linear_jet,
                    split_pole)
-from .numeric import sqrt_fraction, to_mpf
+from .numeric import to_mpf
 from .rootdata import (BlockProfile, base_profile, block_permutations,
                        compositions, epsilon, hat_theta_factor, pairing,
                        permute_blocks, project, theta_factor)
@@ -208,6 +199,12 @@ def certify_direction(d: int, parts: tuple[int, ...],
     return tuple(entries)
 
 
+def draw_values(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+    """n nonzero rationals, numerators up to 999, denominators up to 9."""
+    return tuple(Q(rng.randint(1, 999) * rng.choice((1, -1)),
+                   rng.randint(1, 9)) for _ in range(n))
+
+
 def draw_generic_direction(d: int, parts: tuple[int, ...], seed: int,
                            salt: int = 0) -> GenericDirection:
     """Deterministic certified-generic direction for a level.
@@ -216,11 +213,9 @@ def draw_generic_direction(d: int, parts: tuple[int, ...], seed: int,
     the first draw that passes the exact certificate; the draw sequence
     is fully determined by (seed, salt, d, parts).
     """
-    r = sum(parts)
     rng = random.Random(f"{seed}:{salt}:{d}:{parts}")
     for _ in range(256):
-        values = tuple(Q(rng.randint(1, 999) * rng.choice((1, -1)),
-                         rng.randint(1, 9)) for _ in range(r))
+        values = draw_values(rng, sum(parts))
         try:
             cert = certify_direction(d, parts, values)
         except NotGenericError:
@@ -236,10 +231,10 @@ def draw_generic_direction(d: int, parts: tuple[int, ...], seed: int,
 @dataclass(frozen=True)
 class RouteValue:
     """Value of one route plus its cancellation residual (0 when the
-    route divides by nothing)."""
+    route divides by nothing), in the ring of the jets it summed."""
 
-    value: mp.mpf
-    residual: mp.mpf
+    value: object
+    residual: object
     route: str
 
 
@@ -265,10 +260,7 @@ def _group_size(direction: GenericDirection) -> int:
 
 
 def _jet_sum(jets) -> Jet:
-    total = Jet.polynomial({})
-    for jet in jets:
-        total = total + jet
-    return total
+    return reduce(Jet.__add__, jets)
 
 
 def held_karp(values, after) -> Jet:
@@ -282,7 +274,7 @@ def held_karp(values, after) -> Jet:
     after(S) call per set S.
     """
     r = len(values)
-    inv_gap = [[1 / to_mpf(values[l] - values[m]) if l != m else None
+    inv_gap = [[1 / (values[l] - values[m]) if l != m else None
                 for m in range(r)] for l in range(r)]
     layer: dict[int, dict[int, Jet]] = {0: {}}
     for _ in range(r):
@@ -308,8 +300,9 @@ def _boundary_jet(tower: Jet, d: int, r: int,
     `pairings` in order, of the tower at rate 1/d times the pairing of
     lambda with coweight i that `pairings` holds.  The outer boundaries 0
     and r carry no coweight and contribute nothing."""
-    inner = [x for i, x in pairings.items() if 0 < i < r]
-    return compose_linear([tower] * len(inner), [x / d for x in inner])
+    inner = [x / d for i, x in pairings.items() if 0 < i < r]
+    return compose_linear([tower] * len(inner), inner,
+                          one=Jet.polynomial({0: 1}, tower.ring))
 
 
 def leading_pairing(d: int, values, S: int) -> Fraction:
@@ -343,7 +336,7 @@ def symmetrized_value(tower: Jet, direction: GenericDirection) -> RouteValue:
     through the set S of the first i inner blocks only (leading_pairing),
     and theta is the product of consecutive gaps.  So held_karp sums the
     orderings, a block after S bringing the boundary-|S| tower at that
-    pairing along any w that puts S first.
+    pairing along any w that puts S first, and the average divides by r!.
     """
     r = _group_size(direction)
     d, values = direction.d, direction.values
@@ -353,8 +346,7 @@ def symmetrized_value(tower: Jet, direction: GenericDirection) -> RouteValue:
                             {S.bit_count(): leading_pairing(d, values, S)})
         return lambda m: jet
 
-    covol = sqrt_fraction(Q(d * r, d ** r))
-    block = held_karp(values, after).scale(covol / factorial(r)).truncate(r)
+    block = held_karp(values, after).scale(Q(1, factorial(r))).truncate(r)
     return _read_off(block, r - 1, "symmetrized")
 
 
@@ -367,12 +359,15 @@ def _alternating(tower: Jet, direction: GenericDirection,
     through the interval alone: the upper part vanishes on the other
     intervals, and the lower part keeps the prefix sums of lam at every
     P-boundary.  So their pairings are those of the level P_I that merges
-    [s, e) only, partial sums of the values (interval_pairings), and the
-    rational part of hat theta of P_I is the product of the interior upper
-    pairings.  Hat theta, the covolumes and the signs are products over
-    the intervals, and theta^group_P couples adjacent intervals through
-    the gap of their means.  With one state per last interval that is
-    O(r^3) jet operations instead of 2^(r-1) line jets.
+    [s, e) only, partial sums of the values (interval_pairings).  Hat
+    theta, the weights and the signs are products over the intervals, and
+    theta^group_P couples adjacent intervals through the gap of their
+    means: with one state per last interval, O(r^3) jet operations
+    instead of 2^(r-1) line jets.  An interval weighs d^(size-1) /
+    (size * hat), hat the product of its interior upper pairings (the
+    rational part of hat theta of P_I): the covolumes of hat theta (Gram
+    determinant d^size / (d size)) and of the interval's share 1/(d size)
+    of theta^group_P, times sqrt(d r), leave sqrt(r d^(1-r)) over all.
     """
     r = _group_size(direction)
     d, values = direction.d, direction.values
@@ -384,22 +379,18 @@ def _alternating(tower: Jet, direction: GenericDirection,
             size = e - s
             ups, lows = interval_pairings(d, prefix, s, e)
             jet = _boundary_jet(tower, d, r, lows if lower else ups)
-            # hat theta of P_I (Gram determinant d^size / (d * size)) times
-            # the interval's share 1/(d * size) of the theta^group_P Gram
-            # determinant
             hat = prod((ups[i] for i in range(s + 1, e)), start=Q(1))
-            weight = sqrt_fraction(Q(d ** size, (d * size) ** 2)) / to_mpf(hat)
+            weight = Q(d ** (size - 1)) / (size * hat)
             if lower and size % 2 == 0:
                 weight = -weight  # epsilon(P_0, P), one interval at a time
             if s:
                 # epsilon(P, group) gives each upper link a sign
                 jet = jet * _jet_sum(
-                    chain[t, s].scale(1 / to_mpf(
-                        gaps[t, s, e] if lower else -gaps[t, s, e]))
+                    chain[t, s].scale(1 / (gaps[t, s, e] if lower
+                                           else -gaps[t, s, e]))
                     for t in range(s))
             chain[s, e] = jet.scale(weight)
-    block = _jet_sum(chain[s, r] for s in range(r))
-    block = block.scale(sqrt_fraction(Q(d * r))).truncate(r)
+    block = _jet_sum(chain[s, r] for s in range(r)).truncate(r)
     return _read_off(block, r - 1, _ALTERNATING[lower])
 
 
@@ -419,8 +410,7 @@ def arthur_derivative_value(tower: Jet,
                             direction: GenericDirection) -> RouteValue:
     """tilde_c's value relabelled "derivative", with residual 0: the k-th
     derivative formula at one generic point reads the same coefficient of
-    the same sum, so it is no independent route and no cross-check runs
-    it.  The benchmark's tracer still wraps it by name."""
+    the same sum.  No cross-check runs it; the benchmark's tracer wraps it."""
     return RouteValue(tilde_c(tower, direction).value, mp.mpf(0),
                       "derivative")
 

@@ -104,9 +104,9 @@ def decimal_str(x) -> str:
 
 
 def parse_exact(text: str) -> Fraction:
-    """Parse '3', '-1/2' or '0.35' into an exact rational."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    """Parse '3', '-1/2' or '0.35' into an exact rational; ValueError
+    naming the text otherwise."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact rational: {text!r}") from None

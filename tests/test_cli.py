@@ -128,16 +128,16 @@ def test_repeated_runs_are_byte_identical(capsys):
 PINNED_STDOUT = [
     (("coeff", "--d", "1", "--r", "5", "--S", "", "--prec", "256",
       "--seed", "0"),
-     "a3be1e8c1ff08b5c4680ad2e9dc6ae18c64c8f3f92daeb2a2ebe38daefa78758"),
+     "4cec7ece15782ff69a4f13163d59fdd35256fdebccd62d92121373e1fe8b3339"),
     (("coeff", "--d", "2", "--r", "3", "--S", "2", "--prec", "256",
       "--seed", "0"),
-     "2ed2ad7628daead51a8073510a4e18640779ff38c59592d8d58390191e823910"),
+     "53ca7677fc986a986f10ad77f11c0755e3d71f236120e3c16c652f12a3812f84"),
     (("coeff", "--d", "1", "--r", "2", "--S", "inf", "--prec", "512",
       "--seed", "1"),
      "3a4d91006a9d46f4d7189d393988ab3270a4e7cf618a5227df6b0a3629de97e0"),
     (("expansion", "--d", "2", "--r", "2", "--S", "2", "--prec", "256",
       "--jobs", "1", "--seed", "0"),
-     "4a9593f90be91f5bae27389c6f7c6fe1d44dd2ae965999d071ef96c943271201"),
+     "31a4e201fad0c2b21fe75c24c8cb2aef71888248a941902cc9735d6279128832"),
     (("zeta", "--eval", "ztilde-s", "--at", "5/2", "--d", "2", "--S",
       "3,inf", "--order", "6", "--prec", "512", "--seed", "0"),
      "3841cf1e1cd01e834926182c7b872749eb656ee744248f45238f496e3761f9f2"),
@@ -147,7 +147,7 @@ PINNED_STDOUT = [
     (("verify", "prolongement4", "--n", "3", "--prec", "256", "--seed", "0"),
      "f56c073c6917bc76f570451bfcc1d20242544bedfa53996206fd9178f96a4774"),
     (("verify", "unit-expansion", "--n", "3", "--prec", "256", "--seed", "0"),
-     "ded18a836d373831621c271797724867c97b1cea82f96ed97a0e157a0be3b02f"),
+     "49a9ef00bc13a2e7d28e11219378ecf04ba69cc73f7ca306244e63b5c7e85cf1"),
     (("verify", "cp-identity", "--n", "3", "--prec", "256", "--seed", "0"),
      "90dffc612834eb108cbfe091cb4a423022f557953932d1db7c5ea4c48207b55e"),
 ]
@@ -256,6 +256,14 @@ def test_nonpositive_shape_exits_2(capsys, argv):
     assert out == ""
     message = "duplicate place" if "--S" in argv else "at least 1"
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("at", ["1/0", "1/2/3"])
+def test_malformed_center_exits_2_naming_it(capsys, at):
+    code, out, err = run_cli(capsys, "zeta", "--eval", "xi", "--at", at)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(at) in err
 
 
 @pytest.mark.parametrize("command", [

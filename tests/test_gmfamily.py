@@ -3,9 +3,11 @@ series, the enumerations that take any germ, genericity certificates,
 and the structural invariants that tie them together."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations
-from math import comb
+from functools import lru_cache
+from itertools import accumulate, combinations, product
+from math import comb, prod
 
 import mpmath as mp
 import pytest
@@ -29,11 +31,17 @@ from glcoeff.gmfamily import (
 from glcoeff.jets import CancellationError, Jet, LinearFactor
 from glcoeff.numeric import to_mpf, tolerance, working
 from glcoeff.rootdata import (BlockProfile, base_profile, block_permutations,
-                              compositions, hat_theta_factor, pairing,
-                              permute_blocks, project, simple_data,
+                              compositions, group_profile, hat_theta_factor,
+                              pairing, permute_blocks, project, simple_data,
                               theta_factor)
 
 Q = Fraction
+
+
+def group_covolume(d, r):
+    """The covolume the group routes leave out, from the Gram determinant
+    of the coroots of GL(d r) over its minimal level."""
+    return theta_factor(base_profile(d, r), group_profile(d, r)).covolume()
 
 
 def upper_sum(germ, level, direction):
@@ -377,10 +385,10 @@ def tower_germ(tower, level):
      (3, (1, 2))],
 )
 def test_block_routes_match_their_enumerations_on_product_germs(d, parts):
-    """On the group each route on a random tower series equals the
-    permutation or composition sum it replaces, on the product germ of that
-    tower.  A Levi level has no route: its product germs take the
-    enumerations, and they agree."""
+    """On the group each route on a random tower series, times the group
+    covolume, equals the permutation or composition sum it replaces, on the
+    product germ of that tower.  A Levi level has no route: its product
+    germs take the enumerations, and they agree."""
     rng = random.Random(f"{d}:{parts}:product")
     level = BlockProfile(d, parts)
     direction = draw_generic_direction(d, parts, seed=3)
@@ -394,7 +402,8 @@ def test_block_routes_match_their_enumerations_on_product_germs(d, parts):
                 assert spread(values) < tolerance()
                 continue
             for route, oracle in ORACLES.items():
-                fast = route(tower, direction).value
+                fast = (group_covolume(d, level.r)
+                        * route(tower, direction).value)
                 slow = oracle(germ, level, direction).value
                 assert abs(fast - slow) < tolerance() * max(1, abs(slow)), route
 
@@ -402,7 +411,9 @@ def test_block_routes_match_their_enumerations_on_product_germs(d, parts):
 def test_germ_off_the_coweights_takes_the_enumeration():
     """The routes take a tower series only, so a germ with one factor on a
     root instead of a coweight takes the enumerations, and they agree; the
-    extra factor moves the value off the route value of the tower."""
+    extra factor 2 + <lam, root> moves the value off the tower's value (the
+    route value times the covolume), and off twice it, so its root part
+    counts."""
     level = BlockProfile(1, (4,))
     direction = draw_generic_direction(1, (4,), seed=2)
     with working(160):
@@ -412,8 +423,9 @@ def test_germ_off_the_coweights_takes_the_enumeration():
         values = [enumeration(germ, level, direction).value
                   for enumeration in ENUMERATIONS]
         assert spread(values) < tolerance()
-        route = tilde_c(tower, direction).value
-        assert abs(values[0] - route) > mp.mpf("1e-6") * max(1, abs(route))
+        route = group_covolume(1, 4) * tilde_c(tower, direction).value
+        for plain in (route, 2 * route):
+            assert abs(values[0] - plain) > mp.mpf("1e-6") * max(1, abs(plain))
 
 
 def test_block_routes_check_cancellation(monkeypatch):
@@ -428,6 +440,76 @@ def test_block_routes_check_cancellation(monkeypatch):
         for route in ORACLES:
             with pytest.raises(CancellationError):
                 route(tower, direction)
+
+
+def kreweras_by_convolution(series, r):
+    """[x^(r-1)] T^r / r^2 from the coefficients of T, by r - 1 truncated
+    list convolutions."""
+    series = list(series[:r])
+    power = series
+    for _ in range(r - 1):
+        power = [sum(power[i] * series[k - i] for i in range(k + 1))
+                 for k in range(r)]
+    return power[r - 1] / r ** 2
+
+
+def noncrossing_partitions(elements):
+    """Every noncrossing partition of the sorted tuple `elements`, as a
+    list of blocks: the block of the first element, and independently a
+    noncrossing partition of each gap that block leaves."""
+    if not elements:
+        yield []
+        return
+    first, rest = elements[0], elements[1:]
+    for k in range(len(rest) + 1):
+        for chosen in combinations(range(len(rest)), k):
+            cuts = [-1, *chosen, len(rest)]
+            gaps = [rest[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+            block = (first, *(rest[i] for i in chosen))
+            for parts in product(*(list(noncrossing_partitions(g))
+                                   for g in gaps)):
+                yield [block, *(b for part in parts for b in part)]
+
+
+@lru_cache(maxsize=None)
+def noncrossing_types(n):
+    """{sorted block sizes: count} over the noncrossing partitions of
+    {1..n}, whose number is the Catalan number C_n."""
+    types = Counter(tuple(sorted(map(len, blocks)))
+                    for blocks in noncrossing_partitions(tuple(range(n))))
+    assert sum(types.values()) == comb(2 * n, n) // (n + 1)
+    return types
+
+
+def kreweras_by_noncrossing(taus, r):
+    """(1/r) times the sum of prod tau_|B| over the noncrossing partitions
+    of {1..r-1}, for T = 1 + taus[0] x + taus[1] x^2 + ...: the free
+    moment-cumulant form of [x^(r-1)] T^r / r^2."""
+    return sum(count * prod(taus[size - 1] for size in sizes)
+               for sizes, count in noncrossing_types(r - 1).items()) / Q(r)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_group_routes_are_exact_over_the_rationals(d):
+    """Over a Fraction tower with seeded random rational tau, each group
+    route returns exactly [x^(r-1)] T^r / r^2, the group value without its
+    covolume, with residual exactly 0: the symmetrized route for r <= 8,
+    the alternating routes for r <= 12.  The right side is built by list
+    convolution and, independently, over the noncrossing partitions."""
+    rng = random.Random(f"exact:{d}")
+    for r in range(2, 13):
+        direction = draw_generic_direction(d, (r,), seed=r)
+        routes = (tilde_c, c) + ((symmetrized_value,) if r <= 8 else ())
+        for _ in range(2):
+            taus = [Q(rng.randint(-9, 9), rng.randint(1, 9))
+                    for _ in range(r - 1)]
+            target = kreweras_by_convolution([1, *taus], r)
+            assert target == kreweras_by_noncrossing(taus, r)
+            tower = Jet.polynomial(dict(enumerate([1, *taus])), Q)
+            for route in routes:
+                rv = route(tower.truncate(r), direction)
+                assert isinstance(rv.value, Fraction), route
+                assert rv.value == target and rv.residual == 0, route
 
 
 def test_derivative_route_is_tilde_c_read_unchecked():

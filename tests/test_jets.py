@@ -136,3 +136,22 @@ def test_exact_jets_never_truncate():
     q = p * p * p
     assert q.trunc == EXACT
     assert q.coeff(3) == 1 and q.coeff(2) == 3
+
+
+
+def test_jets_over_fractions_stay_exact():
+    """A jet keeps the ring it was given: products, reciprocals, scalars,
+    rates and the pole read-off of Fraction jets stay Fractions, an exact
+    cancellation leaves residual exactly 0, and jets over different rings
+    refuse to meet."""
+    a = Jet.polynomial({0: Fraction(1, 3), 1: Fraction(-2, 7)}, Fraction)
+    one = (a * a.reciprocal(6)).scale(Fraction(5, 2)).scale_arg(3)
+    assert one.coeffs == (Fraction(5, 2),) + (Fraction(0),) * 5
+    assert all(type(c) is Fraction for c in one.coeffs)
+    cancelled = one - Jet.polynomial({0: Fraction(5, 2)}, Fraction)
+    analytic, residual = split_pole(cancelled, 1)
+    assert type(residual) is Fraction and residual == 0
+    assert analytic.coeffs == (Fraction(0),) * 5
+    for op in (Jet.__add__, Jet.__mul__):
+        with pytest.raises(TypeError):
+            op(a, Jet.polynomial({0: 1}))
