@@ -2,10 +2,11 @@
 
 The payload of the package.  On the group GL(d*m) the coefficient is
 computed by the three independent routes of `gmfamily` on the tower
-series, built once per coefficient path and cut to order m, and
+series, built once per coefficient path and cut to order m:
 `_cross_checked_routes` applies the covolume they leave out and
-cross-checks them.  A Levi grouping the r inner d-blocks into parts
-gets the product of the group coefficients of its parts, route by route.
+cross-checks them, and the explicit formula supplies the value.  A Levi
+grouping the r inner d-blocks into parts gets the product of the group
+coefficients of its parts, route by route.
 The module also evaluates the regularized unit-function integral, checks
 the analytic continuation identity that glues the unit-function
 integrals, and assembles the full expansion as a formal object whose
@@ -20,22 +21,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from math import factorial, prod
 
 import mpmath as mp
 
-from .gmfamily import (GenericDirection, RouteValue, SmoothGerm, c,
-                       draw_generic_direction, draw_values, held_karp,
-                       interval_pairings, symmetrized_value, tilde_c)
-from .jets import Jet, LinearFactor, split_pole
+from .gmfamily import (GenericDirection, RouteValue, c,
+                       draw_generic_direction, draw_values, explicit_value,
+                       held_karp, interval_pairings, tilde_c)
+from .jets import Jet, split_pole
 from .numeric import (requested_prec, sqrt_fraction, to_mpf, tolerance,
                       working)
 from .orbits import (LeviDatum, Partition, block_pair,
                      enumerate_inducing_pairs, induce, partitions)
 from .rootdata import (BlockProfile, base_profile, group_profile,
-                       hat_theta_factor, simple_data, theta_factor)
+                       hat_theta_factor, theta_factor)
 from .zeta import (EMPTY_PLACES, RATIONAL_FIELD, NumberFieldData, PlaceSet,
                    tower_ratio_jet, vol_block_levi, vol_group,
                    vol_minimal_levi, z_s_local_jet, ztilde_jet)
@@ -56,7 +56,7 @@ class RouteDisagreementError(ArithmeticError):
             f"{mp.nstr(tolerance, 8)} ({where})")
 
 
-ROUTE_NAMES = ("symmetrized", "alternating-upper", "alternating-lower")
+ROUTE_NAMES = ("explicit", "alternating-upper", "alternating-lower")
 
 
 def _route_gap(values, where: str) -> mp.mpf:
@@ -76,30 +76,13 @@ def _cross_checked_routes(tower: Jet, direction: GenericDirection,
     r = len(direction.values)
     covol = sqrt_fraction(Q(r, direction.d ** (r - 1)))
     routes = tuple(replace(rv, value=covol * rv.value) for rv in (
-        route(tower, direction) for route in (symmetrized_value, tilde_c, c)))
+        route(tower, direction) for route in (explicit_value, tilde_c, c)))
     _route_gap([rv.value for rv in routes], where)
     return routes
 
 
 # ---------------------------------------------------------------------------
-# the coefficient germ and its value
-
-
-def phi_for_L(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
-              field: NumberFieldData = RATIONAL_FIELD) -> SmoothGerm:
-    """The coefficient germ at this level, on which the enumerations check
-    the routes.
-
-    One normalized partial-tower factor per within-block coweight; the
-    argument of each factor is shifted by 1/d times the pairing, so the
-    germ is exactly 1 at the origin.  The minimal level gives the empty
-    product.  The routes take its one factor, the tower series, instead.
-    """
-    provider = partial(tower_ratio_jet, level.d, places, field=field)
-    coweights = simple_data(base_profile(level.d, level.r), level).coweights
-    factors = tuple(LinearFactor(provider, w, Q(1, level.d)) for w in coweights)
-    return SmoothGerm(((Q(1), factors),),
-                      label=f"phi[{level.parts}|S={places.label()}]")
+# the coefficients
 
 
 @dataclass(frozen=True)
@@ -125,7 +108,7 @@ def _levi_coefficient(level: BlockProfile, groups: dict[int, dict],
     """The coefficient at `level` from the group values a(GL(d*p)) of its
     parts, as `_group_routes` gives them: route by route the product over
     the parts, a part of size 1 contributing exactly 1, with the largest
-    group residual.  The symmetrized product is reported."""
+    group residual.  The explicit product is reported."""
     routes = dict.fromkeys(ROUTE_NAMES, mp.mpf(1))
     residuals = dict.fromkeys(ROUTE_NAMES, mp.mpf(0))
     for group in (groups[p] for p in level.parts if p > 1):
@@ -134,7 +117,7 @@ def _levi_coefficient(level: BlockProfile, groups: dict[int, dict],
             residuals[name] = max(residuals[name], group["residuals"][name])
     disagreement = _route_gap(list(routes.values()),
                               f"level {level.parts}, S={places.label()}")
-    a_value = routes["symmetrized"]
+    a_value = routes["explicit"]
     pair = block_pair(level)
     return CoefficientResult(
         levi=pair.levi,
@@ -198,7 +181,7 @@ def a_coefficient(level: BlockProfile, places: PlaceSet = EMPTY_PLACES,
     The three routes run on GL(d*p) for each distinct part p > 1 and must
     agree within numeric.tolerance(), else RouteDisagreementError; each
     route value of the level is the product of its group values, held to
-    the same tolerance, and the symmetrized route supplies the value.
+    the same tolerance, and the explicit formula supplies the value.
     """
     groups = _group_coefficients(level.d, level.parts, places, field, seed)
     return _levi_coefficient(level, groups, places, field, seed)
@@ -299,13 +282,14 @@ def J_o_unit(d: int, r: int, field: NumberFieldData = RATIONAL_FIELD,
     """Value at 0 of the Weyl-symmetrized regularized ambient integral.
 
     The three routes take the complete d-tower series Z(x) =
-    ztilde_d(d + x), unnormalized, and are cross-checked.
+    ztilde_d(d + x), unnormalized, and are cross-checked; the explicit
+    formula supplies the value.
     """
     direction = draw_generic_direction(d, (r,), seed)
-    sym, *_ = _cross_checked_routes(ztilde_jet(d, d, r, field), direction,
-                                    f"unit value ({d},{r})")
+    explicit, *_ = _cross_checked_routes(ztilde_jet(d, d, r, field),
+                                         direction, f"unit value ({d},{r})")
     const = _j_tilde_prefactor(d, r, field)
-    return RouteValue(const * sym.value, sym.residual, "symmetrized")
+    return RouteValue(const * explicit.value, explicit.residual, "explicit")
 
 
 # ---------------------------------------------------------------------------

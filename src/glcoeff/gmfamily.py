@@ -9,17 +9,18 @@ so every jet is built to order k + 1 and no further.
 Three independent routes give the group value a(GL(d r)) from the tower
 series T, phi being T at rate 1/d times the pairing with each of the
 r - 1 inner coweights: two alternating sums over parabolics (tilde_c,
-c) and a Weyl-symmetrized sum (symmetrized_value).  Every pairing is a
-partial sum of the direction's r block values, so the routes build no
-vector: the symmetrized route is a Held-Karp sum (`held_karp`, the one
-ordering sum of the package), r * 2^r jet products, and the alternating
-routes a chain over the last P-interval, O(r^3) jet operations.  They
+c), chains over the last P-interval of O(r^3) jet operations, and the
+explicit formula (explicit_value), [x^(r-1)] T^r / (r^2 T(0)) from r - 1
+jet products: the Kreweras sum over noncrossing partitions (Speicher,
+Math. Ann. 298, 1994).  Every pairing is a partial sum of the
+direction's r block values, so the routes build no vector.  They
 multiply T's jets only by exact rationals lifted into T's ring (see
 `jets`), so over Fraction they are exact, and leave out the covolume
 sqrt(r d^(1-r)), which `coefficients._cross_checked_routes` applies
-after the read-off.  For a normalized T the rest is [x^(r-1)] T^r / r^2,
-the Kreweras sum over noncrossing partitions (Speicher, Math. Ann. 298,
-1994).  arthur_derivative_value is tilde_c relabelled.
+after the read-off.  The Weyl-symmetrized sum (symmetrized_value), a
+Held-Karp sum (`held_karp`, the one ordering sum of the package) of
+r * 2^r jet products, is the exact oracle of the formula and on no
+coefficient path.  arthur_derivative_value is tilde_c relabelled.
 
 Germs go to the enumerations over the Weyl group and the 2^(r-1)
 intermediate levels (symmetrized_sum, alternating_sum), on any level,
@@ -328,9 +329,22 @@ def interval_pairings(d: int, prefix, s: int, e: int):
     return ups, {i: d * (prefix[s] + (i - s) * m - i * mean) for i in ups}
 
 
+def explicit_value(tower: Jet, direction: GenericDirection) -> RouteValue:
+    """The explicit formula [x^(r-1)] T^r / (r^2 T(0)) on the group's r
+    inner blocks, from r - 1 truncated products, with residual 0: it
+    divides by no pairing.  Dividing by T(0) makes it homogeneous of
+    degree r - 1 in the tower, like the limit routes."""
+    r = _group_size(direction)
+    series = tower.truncate(r)
+    power = reduce(Jet.__mul__, [series] * r)
+    value = power.coeff(r - 1) / (r * r * series.coeff(0))
+    return RouteValue(value, tower.ring(0), "explicit")
+
+
 def symmetrized_value(tower: Jet, direction: GenericDirection) -> RouteValue:
     """Limit at 0 of the Weyl average of the tower product over the
-    permuted pairing product, on the group's r inner blocks.
+    permuted pairing product, on the group's r inner blocks: the oracle
+    explicit_value is checked against, on no coefficient path.
 
     In an ordering w of the blocks, the coweight of boundary i pairs w lam
     through the set S of the first i inner blocks only (leading_pairing),

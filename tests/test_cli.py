@@ -128,7 +128,7 @@ def test_repeated_runs_are_byte_identical(capsys):
 PINNED_STDOUT = [
     (("coeff", "--d", "1", "--r", "5", "--S", "", "--prec", "256",
       "--seed", "0"),
-     "4cec7ece15782ff69a4f13163d59fdd35256fdebccd62d92121373e1fe8b3339"),
+     "a00200936208f5cf31dc07680cb6a1b8d9284144bd2b39c7e10e8afb61d39a3a"),
     (("coeff", "--d", "2", "--r", "3", "--S", "2", "--prec", "256",
       "--seed", "0"),
      "53ca7677fc986a986f10ad77f11c0755e3d71f236120e3c16c652f12a3812f84"),
@@ -147,7 +147,7 @@ PINNED_STDOUT = [
     (("verify", "prolongement4", "--n", "3", "--prec", "256", "--seed", "0"),
      "f56c073c6917bc76f570451bfcc1d20242544bedfa53996206fd9178f96a4774"),
     (("verify", "unit-expansion", "--n", "3", "--prec", "256", "--seed", "0"),
-     "49a9ef00bc13a2e7d28e11219378ecf04ba69cc73f7ca306244e63b5c7e85cf1"),
+     "94756ab4739b1c7326aca618bd7cf1f84a10c4ff048459209b8de6ade4be76ef"),
     (("verify", "cp-identity", "--n", "3", "--prec", "256", "--seed", "0"),
      "90dffc612834eb108cbfe091cb4a423022f557953932d1db7c5ea4c48207b55e"),
 ]
@@ -331,13 +331,13 @@ def test_verify_routes_runs_each_group_once_per_row(capsys, monkeypatch):
     the routes run on GL(d*m), m = 2..r, once each: 7 groups times 3
     place sets for d*r <= 4."""
     levels = []
-    symmetrized = coefficients.symmetrized_value
+    explicit = coefficients.explicit_value
 
     def counting(tower, direction):
         levels.append(direction.parts)
-        return symmetrized(tower, direction)
+        return explicit(tower, direction)
 
-    monkeypatch.setattr(coefficients, "symmetrized_value", counting)
+    monkeypatch.setattr(coefficients, "explicit_value", counting)
     code, _, _ = run_cli(capsys, "verify", "routes", "--n", "4",
                          "--prec", "128")
     assert code == 0

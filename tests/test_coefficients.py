@@ -6,6 +6,7 @@ assembled expansion evaluated on the unit function.
 """
 import ast
 import concurrent.futures
+import importlib
 import os
 import pathlib
 import random
@@ -20,12 +21,12 @@ from glcoeff import coefficients
 from glcoeff import gmfamily as gm
 from glcoeff.coefficients import (ROUTE_NAMES, J_o_unit,
                                   RouteDisagreementError, a_coefficient,
-                                  a_tilde, expansion, phi_for_L,
+                                  a_tilde, expansion,
                                   prolongation_identity_residuals,
                                   unit_expansion_residual)
 from glcoeff.gmfamily import (RouteValue, SmoothGerm, draw_generic_direction,
                               symmetrized_value)
-from glcoeff.jets import Jet, split_pole
+from glcoeff.jets import Jet, LinearFactor, split_pole
 from glcoeff.numeric import to_mpf, tolerance, working
 from glcoeff.orbits import (LeviDatum, Partition, enumerate_inducing_pairs,
                             partitions)
@@ -43,6 +44,22 @@ from test_gmfamily import (group_covolume, kreweras_by_convolution,
 # and the same with the log(2) dropped once the place 2 is removed.
 GL2_NO_PLACES = "-0.690775648760292394792103027502"
 GL2_PLACE_TWO = "-0.200646577026018798935152165684"
+
+
+def phi_for_L(level, places=EMPTY_PLACES, field=RATIONAL_FIELD):
+    """The coefficient germ at this level, on which the enumerations check
+    the routes.
+
+    One normalized partial-tower factor per within-block coweight; the
+    argument of each factor is shifted by 1/d times the pairing, so the
+    germ is exactly 1 at the origin.  The minimal level gives the empty
+    product.  The routes take its one factor, the tower series, instead.
+    """
+    provider = partial(tower_ratio_jet, level.d, places, field=field)
+    coweights = simple_data(base_profile(level.d, level.r), level).coweights
+    factors = tuple(LinearFactor(provider, w, Q(1, level.d)) for w in coweights)
+    return SmoothGerm(((Q(1), factors),),
+                      label=f"phi[{level.parts}|S={places.label()}]")
 
 
 def test_gl2_closed_form_no_places():
@@ -84,7 +101,7 @@ def test_diagnostics_record_all_routes():
     with working(128):
         res = a_coefficient(BlockProfile(1, (2, 1)))
     routes = res.diagnostics["routes"]
-    assert set(routes) == {"symmetrized", "alternating-upper",
+    assert set(routes) == {"explicit", "alternating-upper",
                            "alternating-lower"}
     assert res.diagnostics["max_disagreement"] < mp.mpf(2) ** -40
     assert set(res.diagnostics["residuals"]) == set(routes)
@@ -567,7 +584,7 @@ def test_block_routes_match_their_enumerations(d, r):
     with the Weyl or parabolic enumeration of phi_for_L(level) along the
     level's own direction."""
     oracles = {
-        "symmetrized": gm.symmetrized_sum,
+        "explicit": gm.symmetrized_sum,
         "alternating-upper": partial(gm.alternating_sum, lower=False),
         "alternating-lower": partial(gm.alternating_sum, lower=True),
     }
@@ -609,16 +626,34 @@ def test_expansion_runs_the_routes_once_per_group_size(monkeypatch):
     """expansion(1, 6) has 11 terms but runs the routes on the five
     groups GL(2)..GL(6) only, each once."""
     levels = []
-    symmetrized = coefficients.symmetrized_value
+    explicit = coefficients.explicit_value
 
     def counting(tower, direction):
         levels.append(direction.parts)
-        return symmetrized(tower, direction)
+        return explicit(tower, direction)
 
-    monkeypatch.setattr(coefficients, "symmetrized_value", counting)
+    monkeypatch.setattr(coefficients, "explicit_value", counting)
     with working(128):
         assert len(expansion(1, 6).terms) == 11
     assert sorted(levels) == [(m,) for m in range(2, 7)]
+
+
+def _oracle_refused(*args, **kwargs):
+    raise AssertionError("the symmetrized oracle ran on a coefficient path")
+
+
+def test_symmetrized_oracle_is_on_no_coefficient_path(monkeypatch):
+    """symmetrized_value is the exact oracle of the explicit formula only:
+    with it refused in every module that holds it, an expansion, a Levi
+    coefficient and the unit value still run."""
+    for path in pathlib.Path(glcoeff.__file__).parent.glob("*.py"):
+        module = importlib.import_module(f"glcoeff.{path.stem}")
+        if hasattr(module, "symmetrized_value"):
+            monkeypatch.setattr(module, "symmetrized_value", _oracle_refused)
+    with working(128):
+        assert len(expansion(1, 6).terms) == 11
+        a_coefficient(BlockProfile(2, (2, 1)), PlaceSet.parse("2"))
+        J_o_unit(1, 4)
 
 
 def _refused(*args, **kwargs):
@@ -691,9 +726,9 @@ def test_three_routes_agree_on_gl8():
 
 
 def test_one_read_off_and_no_unchecked_route():
-    """No function of the package takes a `checked` flag, so every route
-    reads its pole off through jets.split_pole, and coefficients sums no
-    ordering by permutations."""
+    """No function of the package takes a `checked` flag, so every limit
+    route reads its pole off through jets.split_pole, and coefficients
+    sums no ordering by permutations."""
     for path in sorted(pathlib.Path(glcoeff.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):

@@ -1,5 +1,6 @@
-"""Tests for the germ evaluation engine: the three limit routes on a tower
-series, the enumerations that take any germ, genericity certificates,
+"""Tests for the germ evaluation engine: the routes on a tower series
+(the explicit formula, the two alternating limits and the symmetrized
+oracle), the enumerations that take any germ, genericity certificates,
 and the structural invariants that tie them together."""
 
 import random
@@ -23,6 +24,7 @@ from glcoeff.gmfamily import (
     c,
     certify_direction,
     draw_generic_direction,
+    explicit_value,
     levels_between,
     symmetrized_sum,
     symmetrized_value,
@@ -401,7 +403,8 @@ def test_block_routes_match_their_enumerations_on_product_germs(d, parts):
                           for enumeration in ENUMERATIONS]
                 assert spread(values) < tolerance()
                 continue
-            for route, oracle in ORACLES.items():
+            for route, oracle in (*ORACLES.items(),
+                                  (explicit_value, symmetrized_sum)):
                 fast = (group_covolume(d, level.r)
                         * route(tower, direction).value)
                 slow = oracle(germ, level, direction).value
@@ -493,13 +496,15 @@ def kreweras_by_noncrossing(taus, r):
 def test_group_routes_are_exact_over_the_rationals(d):
     """Over a Fraction tower with seeded random rational tau, each group
     route returns exactly [x^(r-1)] T^r / r^2, the group value without its
-    covolume, with residual exactly 0: the symmetrized route for r <= 8,
-    the alternating routes for r <= 12.  The right side is built by list
-    convolution and, independently, over the noncrossing partitions."""
+    covolume, with residual exactly 0: the explicit and alternating routes
+    for r <= 12, and the symmetrized oracle for r <= 8.  The right side is
+    built by list convolution and, independently, over the noncrossing
+    partitions."""
     rng = random.Random(f"exact:{d}")
     for r in range(2, 13):
         direction = draw_generic_direction(d, (r,), seed=r)
-        routes = (tilde_c, c) + ((symmetrized_value,) if r <= 8 else ())
+        routes = ((explicit_value, tilde_c, c)
+                  + ((symmetrized_value,) if r <= 8 else ()))
         for _ in range(2):
             taus = [Q(rng.randint(-9, 9), rng.randint(1, 9))
                     for _ in range(r - 1)]
@@ -530,15 +535,16 @@ def test_derivative_route_is_tilde_c_read_unchecked():
 def test_routes_are_homogeneous_of_degree_r_minus_1_in_the_tower(r):
     """Each inner boundary 0 < i < r brings one tower factor and the outer
     boundaries 0 and r none, so scaling the tower by c scales every route
-    by c^(r-1); a factor on an outer boundary would make it c^r.  A
-    direction certified for a Levi level is rejected."""
+    by c^(r-1); a factor on an outer boundary would make it c^r.  The
+    explicit formula divides T^r by T(0) to match, and the towers here
+    have T(0) != 1.  A direction certified for a Levi level is rejected."""
     rng = random.Random(f"scale:{r}")
     direction = draw_generic_direction(1, (r,), seed=r)
     levi = draw_generic_direction(1, (r - 1, 1), seed=r)
     factor = Q(5, 3)
     with working(160):
         tower = random_tower(rng, r)
-        for route in ORACLES:
+        for route in (explicit_value, *ORACLES):
             plain = route(tower, direction).value
             assert abs(plain) > mp.mpf("1e-6")
             target = to_mpf(factor) ** (r - 1) * plain
