@@ -10,26 +10,27 @@ coefficients of its parts, route by route.
 The module also evaluates the regularized unit-function integral, checks
 the analytic continuation identity that glues the unit-function
 integrals, and assembles the full expansion as a formal object whose
-local integrals stay opaque symbols.  The unit-function check sums the
-orderings of the coarse blocks with the engine's Held-Karp recursion.
+local integrals stay opaque symbols.  The unit-function check takes the
+local family of each Levi class in closed form, a coefficient of a power
+of the local series, and sums no ordering.
 
 All values carry diagnostics: which routes were run, how far apart they
 landed, and the cancellation residuals of the removable poles.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import factorial, prod
 
 import mpmath as mp
 
 from .gmfamily import (GenericDirection, RouteValue, c,
-                       draw_generic_direction, draw_values, explicit_value,
-                       held_karp, interval_pairings, tilde_c)
-from .jets import Jet, split_pole
+                       draw_generic_direction, explicit_value,
+                       interval_pairings, tilde_c)
+from .jets import Jet
 from .numeric import (requested_prec, sqrt_fraction, to_mpf, tolerance,
                       working)
 from .orbits import (LeviDatum, Partition, block_pair,
@@ -296,66 +297,21 @@ def J_o_unit(d: int, r: int, field: NumberFieldData = RATIONAL_FIELD,
 # consistency of the assembled expansion for the unit function
 
 
-def _coarse_pairings(comp: tuple[int, ...], values: tuple[Fraction, ...]):
-    """{(S, j): the fine-coweight pairings over d that coarse block j
-    brings after the set S}, or None unless the values are distinct (theta
-    over the coarse coroots is the product of consecutive value gaps) and
-    every pairing is nonzero: exactly the draws every ordering accepts.
+def _coarse_family_value(local: Jet, comp: tuple[int, ...]):
+    """psi_mu / L(0)^(r-1) for one Levi class mu = comp, without its
+    covolume, in the ring of the local series L.
 
-    Block j holds values[j] on comp[j] inner blocks, so boundary b pairs to
-    d * (prefix_b - b * mean); j brings b from its left edge (S nonempty)
-    through its interior, whose prefix depends on S, j and the offset only.
-    """
-    m = len(comp)
-    if len(set(values)) < m:
-        return None
-    mean = sum(c * v for c, v in zip(comp, values)) / sum(comp)
-    out = {}
-    for S in range(1 << m):
-        inside = [l for l in range(m) if S >> l & 1]
-        prefix = sum(comp[l] * values[l] for l in inside)
-        offset = sum(comp[l] for l in inside)
-        for j in set(range(m)).difference(inside):
-            xs = [prefix + i * values[j] - (offset + i) * mean
-                  for i in range(0 if S else 1, comp[j])]
-            if not all(xs):
-                return None
-            out[S, j] = xs
-    return out
-
-
-def _coarse_family_value(d: int, comp: tuple[int, ...], places: PlaceSet,
-                         field: NumberFieldData, seed: int = 0) -> mp.mpf:
-    """Value at 0 of the arrangement-summed local family for one Levi class.
-
-    held_karp sums over all orderings of the coarse blocks the full set of
-    minimal-level tower factors (one per fine coweight, paired against the
-    block-constant direction, as _coarse_pairings gives them) over the
-    coarse pairing product.  The removable pole has order (blocks - 1).
+    psi_mu is the limit at 0 of the sum over the orderings of the m coarse
+    blocks of L at the fine-coweight pairings over the coarse theta.  This
+    returns prod(mu) (m-1)!/r [x^(m-1)] L^r / L(0)^r, a Lagrange-inversion
+    identity the tests check against that ordering sum exactly over
+    Fraction: r - 1 truncated products, and 1 at m = 1.
     """
     m, r = len(comp), sum(comp)
-    local_value = z_s_local_jet(d, places, d, 1, field).coeff(0)
-    if m == 1:
-        return local_value ** (r - 1)
-    rng = random.Random(f"coarse:{seed}:{d}:{comp}:{places.label()}")
-    for _ in range(256):
-        values = draw_values(rng, m)
-        pairings = _coarse_pairings(comp, values)
-        if pairings is not None:
-            break
-    else:
-        raise RuntimeError("could not draw a generic coarse direction")
-    tower = z_s_local_jet(d, places, d, m, field)
-    one = Jet.polynomial({0: 1})
-
-    def after(S):
-        return lambda j: prod((tower.scale_arg(x) for x in pairings[S, j]),
-                              start=one)
-
-    covol = sqrt_fraction(Q(d * r, d ** m * prod(comp)))
-    analytic, _ = split_pole(held_karp(values, after).scale(covol), m - 1,
-                             f"coarse family {comp}")
-    return analytic.coeff(0)
+    series = local.truncate(m)
+    power = reduce(Jet.__mul__, [series] * r)
+    scalar = local.ring(Q(prod(comp) * factorial(m - 1), r))
+    return scalar * power.coeff(m - 1) / series.coeff(0) ** r
 
 
 def unit_expansion_residual(d: int, r: int, places: PlaceSet,
@@ -368,7 +324,7 @@ def unit_expansion_residual(d: int, r: int, places: PlaceSet,
     coefficient times local family value.  Returns the relative gap.
     """
     lhs = J_o_unit(d, r, field, seed).value
-    local_value = z_s_local_jet(d, places, d, 1, field).coeff(0)
+    local = z_s_local_jet(d, places, d, r, field)
     groups = _group_coefficients(d, range(2, r + 1), places, field, seed)
     acc = mp.mpf(0)
     for mu in partitions(r):
@@ -380,8 +336,9 @@ def unit_expansion_residual(d: int, r: int, places: PlaceSet,
             class_weight /= factorial(m_j)
         a_val = _levi_coefficient(BlockProfile(d, mu), groups, places, field,
                                   seed).a_value
-        psi = _coarse_family_value(d, mu, places, field, seed)
-        acc += to_mpf(class_weight) * a_val * psi / local_value ** (r - 1)
+        covol = sqrt_fraction(Q(d * r, d ** len(mu) * prod(mu)))
+        psi = covol * _coarse_family_value(local, mu)
+        acc += to_mpf(class_weight) * a_val * psi
     rhs = vol_minimal_levi(d, r, field) * acc
     return abs(lhs - rhs) / max(mp.mpf(1), abs(lhs))
 

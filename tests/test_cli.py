@@ -147,7 +147,7 @@ PINNED_STDOUT = [
     (("verify", "prolongement4", "--n", "3", "--prec", "256", "--seed", "0"),
      "f56c073c6917bc76f570451bfcc1d20242544bedfa53996206fd9178f96a4774"),
     (("verify", "unit-expansion", "--n", "3", "--prec", "256", "--seed", "0"),
-     "94756ab4739b1c7326aca618bd7cf1f84a10c4ff048459209b8de6ade4be76ef"),
+     "3b1543031d0cd785c62c8cf4b5a6fb1094f639e0a816cb4b463781a7b5ecd1a5"),
     (("verify", "cp-identity", "--n", "3", "--prec", "256", "--seed", "0"),
      "90dffc612834eb108cbfe091cb4a423022f557953932d1db7c5ea4c48207b55e"),
 ]

@@ -12,6 +12,7 @@ import pathlib
 import random
 from fractions import Fraction as Q
 from functools import partial
+from math import factorial, prod
 
 import mpmath as mp
 import pytest
@@ -27,7 +28,7 @@ from glcoeff.coefficients import (ROUTE_NAMES, J_o_unit,
 from glcoeff.gmfamily import (RouteValue, SmoothGerm, draw_generic_direction,
                               symmetrized_value)
 from glcoeff.jets import Jet, LinearFactor, split_pole
-from glcoeff.numeric import to_mpf, tolerance, working
+from glcoeff.numeric import sqrt_fraction, to_mpf, tolerance, working
 from glcoeff.orbits import (LeviDatum, Partition, enumerate_inducing_pairs,
                             partitions)
 from glcoeff.rootdata import (BlockProfile, base_profile, enumerate_parabolics,
@@ -268,9 +269,9 @@ def test_expansion_of_the_unit_function(d, r, places):
 
 def _ordering_sum(d, comp, values, tower):
     """Sum over every ordering of the coarse blocks of the fine tower
-    product over the coarse theta, or None if theta over the coarse
-    coroots or a fine-coweight pairing vanishes in some ordering; with
-    tower None, only that check.
+    product over the rational part of the coarse theta, in the tower's
+    ring, or None if theta over the coarse coroots or a fine-coweight
+    pairing vanishes in some ordering.
 
     The orderings are walked depth-first in lexicographic order.  A block
     placed after a prefix brings the fine coweights of its own boundaries,
@@ -279,7 +280,7 @@ def _ordering_sum(d, comp, values, tower):
     """
     m, r = len(comp), sum(comp)
     fine = simple_data(base_profile(d, r)).coweights
-    total = Jet.polynomial({})
+    total = Jet.polynomial({}, tower.ring)
     thetas = {}
 
     def walk(prefix, vec, jet):
@@ -288,12 +289,10 @@ def _ordering_sum(d, comp, values, tower):
             sizes = tuple(comp[i] for i in prefix)
             if sizes not in thetas:
                 thetas[sizes] = theta_factor(BlockProfile(d, sizes))
-            th = thetas[sizes]
-            rat = th.rational_part(vec)
+            rat = thetas[sizes].rational_part(vec)
             if rat == 0:
                 return False
-            if tower is not None:
-                total = total + jet.scale(th.covolume() / to_mpf(rat))
+            total = total + jet.scale(1 / rat)
             return True
         start = len(vec) // d
         for j in range(m):
@@ -310,80 +309,106 @@ def _ordering_sum(d, comp, values, tower):
                 x = pairing(full, fine[b - 1])
                 if x == 0:
                     return False
-                if tower is not None:
-                    step = step * tower.scale_arg(x / d)
+                step = step * tower.scale_arg(x / d)
             if not walk(prefix + (j,), grown, step):
                 return False
         return True
 
-    return total if walk((), (), Jet.polynomial({0: 1})) else None
+    one = Jet.polynomial({0: 1}, tower.ring)
+    return total if walk((), (), one) else None
 
 
-def _coarse_generic_by_orderings(d, comp, values):
-    """The oracle of _coarse_pairings: theta over the coarse coroots and
-    every fine-coweight pairing are nonzero in each of the m! orderings."""
-    return _ordering_sum(d, comp, values, None) is not None
-
-
-def _coarse_family_by_orderings(d, comp, places, seed=0):
-    """The oracle of _coarse_family_value: the m!-checked draw, its
-    rejected candidates, and the sum over every ordering of the coarse
-    blocks of the fine tower product over the coarse theta."""
+def _ordering_limit(d, comp, local, rng):
+    """Limit at 0 and residual of _ordering_sum on the local series cut to
+    order m, at the first draw of coarse values every ordering accepts."""
     m = len(comp)
-    rng = random.Random(f"coarse:{seed}:{d}:{comp}:{places.label()}")
-    tower = z_s_local_jet(d, places, d, m)
-    rejected = []
     while True:
         values = tuple(Q(rng.randint(1, 999) * rng.choice((1, -1)),
                          rng.randint(1, 9)) for _ in range(m))
-        total = _ordering_sum(d, comp, values, tower)
+        total = _ordering_sum(d, comp, values, local.truncate(m))
         if total is not None:
-            break
-        rejected.append(values)
-    analytic, _ = split_pole(total, m - 1)
-    return values, rejected, analytic.coeff(0)
+            analytic, residual = split_pole(total, m - 1)
+            return analytic.coeff(0), residual
+
+
+def _coarse_family_by_orderings(d, comp, local, rng):
+    """The oracle of the local family psi_mu: the sum over every ordering of
+    the coarse blocks of the fine tower product over the coarse theta,
+    whose covolume is applied after the read-off."""
+    value, _ = _ordering_limit(d, comp, local, rng)
+    return theta_factor(BlockProfile(d, comp)).covolume() * value
+
+
+def _random_series(rng, order, constant=1):
+    """constant + l_1 x + ... to `order` over Fraction, each l_k drawn
+    from +-99/1..9."""
+    coeffs = {k: Q(rng.randint(-99, 99), rng.randint(1, 9))
+              for k in range(1, order)}
+    return Jet.polynomial({**coeffs, 0: Q(constant)}, Q).truncate(order)
 
 
 @pytest.mark.parametrize("d,r", [(1, r) for r in range(2, 8)]
                          + [(2, 2), (2, 3)])
 def test_coarse_family_matches_the_ordering_sum(d, r):
-    """The Held-Karp coarse family equals the permutation sum on every
-    partition of r, and its draw accepts the same direction values as the
-    m!-checked one.  At r = 7 the sum over 5040 orderings runs with one
-    place set, the one the unit-expansion test uses."""
+    """The closed form prod(mu) (m-1)!/r [x^(m-1)] L^r / L(0)^r, times the
+    covolume sqrt(d r / (d^m prod(mu))) and L(0)^(r-1), equals the sum over
+    the orderings of the coarse blocks on every partition of r: at 256 bits
+    on the local series of each place set (at r = 7, where the sum runs
+    over 5040 orderings, with the one the unit-expansion test uses), and
+    for r <= 6 exactly over Fraction, with residual 0, on a random rational
+    series with L(0) != 1."""
     worst = mp.mpf(0)
+    rng = random.Random(f"coarse:{d}:{r}")
     with working(256):
         for comp in partitions(r):
-            if len(comp) == 1:
+            m = len(comp)
+            if m == 1:
                 continue
+            covol = sqrt_fraction(Q(d * r, d ** m * prod(comp)))
             for label in ("2",) if r == 7 else ("", "2", "2,3,5"):
-                places = PlaceSet.parse(label)
-                values, rejected, slow = _coarse_family_by_orderings(
-                    d, comp, places)
-                assert coefficients._coarse_pairings(comp, values) is not None
-                for candidate in rejected:
-                    assert coefficients._coarse_pairings(comp, candidate) is None
-                fast = coefficients._coarse_family_value(d, comp, places,
-                                                         RATIONAL_FIELD)
+                local = z_s_local_jet(d, PlaceSet.parse(label), d, r)
+                slow = _coarse_family_by_orderings(d, comp, local, rng)
+                fast = (covol * coefficients._coarse_family_value(local, comp)
+                        * local.coeff(0) ** (r - 1))
                 worst = max(worst, abs(fast - slow) / max(1, abs(slow)))
+            if r <= 6:
+                local = _random_series(rng, r, Q(rng.randint(14, 40), 13))
+                exact, residual = _ordering_limit(d, comp, local, rng)
+                closed = coefficients._coarse_family_value(local, comp)
+                assert isinstance(closed, Q)
+                assert exact == closed * local.coeff(0) ** (r - 1), comp
+                assert residual == 0
         assert worst < tolerance()
 
 
-@pytest.mark.parametrize("d,comp", [(1, (1, 1, 1)), (1, (2, 1)),
-                                    (2, (2, 1, 1)), (1, (1, 1, 1, 1))])
-def test_coarse_draw_check_matches_the_ordering_check(d, comp):
-    """On small integer values, where collisions and vanishing pairings
-    are common, _coarse_pairings accepts exactly what the check of every
-    ordering accepts."""
-    rng = random.Random(f"{d}:{comp}")
-    verdicts = set()
-    for _ in range(200):
-        values = tuple(Q(rng.randint(-3, 3)) for _ in comp)
-        accepted = _coarse_generic_by_orderings(d, comp, values)
-        assert (coefficients._coarse_pairings(comp, values) is not None) \
-            == accepted, values
-        verdicts.add(accepted)
-    assert verdicts == {True, False}
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unit_expansion_is_one_series_identity(d):
+    """The unit-expansion check is an identity of power series, free of d
+    and of every covolume and volume: with the explicit group values
+    explicit_p of T (explicit_1 = 1) and the closed-form coarse families
+    of L,
+        explicit_r(T L / L(0)) = sum over mu |- r of psi_mu(L)
+                                 prod_(p in mu) explicit_p(T) / prod_j mult_j(mu)!,
+    exactly over Fraction for r <= 8, at random rational T and L with
+    L(0) != 1."""
+    rng = random.Random(f"identity:{d}")
+    directions = {p: draw_generic_direction(d, (p,), seed=p)
+                  for p in range(2, 9)}
+    for r in range(2, 9):
+        tower = _random_series(rng, r)
+        local = _random_series(rng, r, Q(rng.randint(14, 40), 13))
+        product = (tower * local.scale(1 / local.coeff(0))).truncate(r)
+        lhs = gm.explicit_value(product, directions[r]).value
+        group = {1: Q(1)}
+        group.update((p, gm.explicit_value(tower.truncate(p),
+                                           directions[p]).value)
+                     for p in range(2, r + 1))
+        rhs = Q(0)
+        for mu in partitions(r):
+            weight = prod(factorial(mu.count(p)) for p in set(mu))
+            rhs += (coefficients._coarse_family_value(local, mu)
+                    * prod(group[p] for p in mu) / weight)
+        assert isinstance(lhs, Q) and lhs == rhs, r
 
 
 def test_expansion_terms_follow_the_enumeration():
@@ -639,21 +664,24 @@ def test_expansion_runs_the_routes_once_per_group_size(monkeypatch):
 
 
 def _oracle_refused(*args, **kwargs):
-    raise AssertionError("the symmetrized oracle ran on a coefficient path")
+    raise AssertionError("an ordering-sum oracle ran on a coefficient path")
 
 
 def test_symmetrized_oracle_is_on_no_coefficient_path(monkeypatch):
-    """symmetrized_value is the exact oracle of the explicit formula only:
-    with it refused in every module that holds it, an expansion, a Levi
-    coefficient and the unit value still run."""
+    """symmetrized_value is the exact oracle of the explicit formula only,
+    and held_karp the ordering sum it takes: with both refused in every
+    module that holds them, an expansion, a Levi coefficient, the unit
+    value and the unit-expansion check still run."""
     for path in pathlib.Path(glcoeff.__file__).parent.glob("*.py"):
         module = importlib.import_module(f"glcoeff.{path.stem}")
-        if hasattr(module, "symmetrized_value"):
-            monkeypatch.setattr(module, "symmetrized_value", _oracle_refused)
+        for name in ("symmetrized_value", "held_karp"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _oracle_refused)
     with working(128):
         assert len(expansion(1, 6).terms) == 11
         a_coefficient(BlockProfile(2, (2, 1)), PlaceSet.parse("2"))
         J_o_unit(1, 4)
+        assert unit_expansion_residual(1, 4, PlaceSet.parse("2")) < tolerance()
 
 
 def _refused(*args, **kwargs):
